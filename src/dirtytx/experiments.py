@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,13 +155,22 @@ def _need(section, key, where):
 def _pair(value, where):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError("%s must be a pair" % where)
-    return [float(value[0]), float(value[1])]
+    return [_scalar(v, where) for v in value]
 
 
 def _scalar(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s must be a number" % where)
+    # The magnitude test also rejects NaN, infinities and integers too
+    # large for a float.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError("%s must be a finite number" % where)
     return float(value)
+
+
+def _count(value, where):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError("%s must be a positive integer" % where)
+    return value
 
 
 def _grid(obj, where, convert):
@@ -179,9 +189,7 @@ def _grid(obj, where, convert):
             raise ConfigError("unknown keys %s in %s" % (sorted(extra), where))
         start = _scalar(_need(obj, "start", where), where + ".start")
         stop = _scalar(_need(obj, "stop", where), where + ".stop")
-        count = _need(obj, "count", where)
-        if not isinstance(count, int) or count < 1:
-            raise ConfigError("%s.count must be a positive integer" % where)
+        count = _count(_need(obj, "count", where), where + ".count")
         return np.array([convert(v) for v in np.linspace(start, stop, count)])
     raise ConfigError("%s must be a list or a range object" % where)
 
@@ -285,9 +293,7 @@ def _parse_channel_distribution(cfg, units):
     extra = set(section) - {"count", "sigma_n2"}
     if extra:
         raise ConfigError("unknown channel_distribution keys: %s" % sorted(extra))
-    count = _need(section, "count", "channel_distribution")
-    if not isinstance(count, int) or count < 1:
-        raise ConfigError("channel_distribution.count must be a positive integer")
+    count = _count(_need(section, "count", "channel_distribution"), "channel_distribution.count")
     sigma_n2 = units.power(
         "channel_distribution.sigma_n2",
         _scalar(_need(section, "sigma_n2", "channel_distribution"), "channel_distribution.sigma_n2"),
@@ -296,10 +302,7 @@ def _parse_channel_distribution(cfg, units):
 
 
 def _parse_samples(cfg):
-    n = _need(cfg, "n_samples", "config")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("n_samples must be a positive integer")
-    return n
+    return _count(_need(cfg, "n_samples", "config"), "n_samples")
 
 
 def _point_rng(seed, index):
@@ -429,9 +432,7 @@ def _channel_for_single(cfg, units, seed):
 def _run_se_perturbation(cfg, units, seed, n_threads):
     hw = _build_hw(_parse_hardware(cfg, units))
     channel = _channel_for_single(cfg, units, seed)
-    phase_count = cfg.get("phase_count", 36)
-    if not isinstance(phase_count, int) or phase_count < 1:
-        raise ConfigError("phase_count must be a positive integer")
+    phase_count = _count(cfg.get("phase_count", 36), "phase_count")
     scales = _grid(
         cfg.get("amp_scales", {"start": 0.25, "stop": 3.0, "count": 12}),
         "amp_scales",

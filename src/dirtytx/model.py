@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FeedbackDivergenceError, SingularCouplingError
+from .errors import SingularCouplingError
 
 __all__ = [
     "HardwareConfig",
@@ -36,8 +36,6 @@ __all__ = [
     "fourth_moment_matrix",
     "sixth_moment_matrix",
     "distortion_covariance",
-    "effective_linear_gain",
-    "linear_output_covariance",
     "build_model",
 ]
 
@@ -170,6 +168,18 @@ def coupling_matrix(hw: HardwareConfig) -> np.ndarray:
     return q
 
 
+def _internal_powers(g1, g2, k1, k2, b, xi) -> tuple[float, float]:
+    """Diagonal ``(t11, t22)`` of :func:`unit_internal_covariance` as scalars.
+
+    Takes the unpacked gains, crosstalk scalings, amplitude ratio and
+    (complex) correlation.  The NMSE polynomials need only these two
+    entries, so they are evaluated without building the matrix.
+    """
+    t11 = g1 * g1 * (1.0 + 2.0 * g2 * b * (np.conj(k2) * xi).real + g2 * g2 * abs(k2) ** 2 * b * b)
+    t22 = g2 * g2 * (b * b + 2.0 * g1 * b * (k1 * xi).real + g1 * g1 * abs(k1) ** 2)
+    return t11, t22
+
+
 def unit_internal_covariance(hw: HardwareConfig, sig: SignalSpec) -> np.ndarray:
     """Covariance of the amplifier inputs per unit reference power.
 
@@ -187,8 +197,7 @@ def unit_internal_covariance(hw: HardwareConfig, sig: SignalSpec) -> np.ndarray:
     k1, k2 = hw.kappa
     b = sig.beta
     xi = complex(sig.xi)
-    t11 = g1 * g1 * (1.0 + 2.0 * g2 * b * (np.conj(k2) * xi).real + g2 * g2 * abs(k2) ** 2 * b * b)
-    t22 = g2 * g2 * (b * b + 2.0 * g1 * b * (k1 * xi).real + g1 * g1 * abs(k1) ** 2)
+    t11, t22 = _internal_powers(g1, g2, k1, k2, b, xi)
     t12 = g1 * g2 * (
         g1 * np.conj(k1)
         + b * xi
@@ -268,33 +277,6 @@ def distortion_covariance(u_cov: np.ndarray, rho) -> np.ndarray:
     return 2.0 * np.outer(rho, rho) * c
 
 
-def effective_linear_gain(gamma: float, delta: float) -> float:
-    """Signal gain of one branch of a symmetric distortion-free pair.
-
-    ``delta = gamma * kappa`` is the real loop coefficient; the closed
-    loop is only stable for ``|delta| < 1``.
-    """
-    if abs(delta) >= 1:
-        raise FeedbackDivergenceError("loop coefficient magnitude must be < 1")
-    return gamma * np.sqrt(1.0 + delta * delta) / (1.0 - delta * delta)
-
-
-def linear_output_covariance(gamma: float, delta: float, p_x: float) -> np.ndarray:
-    """Output covariance of the symmetric distortion-free pair.
-
-    Assumes uncorrelated equal-power inputs (covariance ``p_x I``).  The
-    off-diagonal shows the correlation introduced purely by crosstalk.
-    """
-    if abs(delta) >= 1:
-        raise FeedbackDivergenceError("loop coefficient magnitude must be < 1")
-    g2 = gamma * gamma
-    scale = p_x / (1.0 - delta * delta) ** 2
-    return scale * np.array(
-        [[g2 * (1.0 + delta * delta), 2.0 * delta * g2],
-         [2.0 * delta * g2, g2 * (1.0 + delta * delta)]]
-    )
-
-
 @dataclass(frozen=True)
 class BussgangModel:
     """Assembled linearized statistics at one operating point."""
@@ -306,10 +288,6 @@ class BussgangModel:
     u_cov: np.ndarray = field(repr=False)
     gains: np.ndarray = field(repr=False)
     distortion_cov: np.ndarray = field(repr=False)
-
-    @property
-    def unit_cov(self) -> np.ndarray:
-        return self.u_cov / self.p_x if self.p_x > 0 else self.u_cov * 0.0
 
 
 def build_model(hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None) -> BussgangModel:

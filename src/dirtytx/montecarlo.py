@@ -10,7 +10,10 @@ The solver is a damped fixed-point iteration started at the linearized
 output, with a per-sample Newton fallback for stragglers.  Randomness
 is consumed in a fixed order (inputs first, thermal noise second) and
 samples are partitioned into fixed-size chunks, so results do not
-depend on the worker count.
+depend on the worker count.  One branch-count agnostic core runs every
+batch: the two-branch :func:`simulate_batch` here and the M-branch
+``mxm.simulate_batch_m`` are thin wrappers over it, so both get the
+same chunking and the same failure-rate guard.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -56,16 +59,19 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
+def _draw_inputs(cov: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    if n < 1:
+        raise ValueError("need at least one sample")
+    m = cov.shape[0]
+    factor = _covariance_factor(cov)
+    z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
+    return z @ factor.T
+
+
 def sample_inputs(sig: SignalSpec, n: int, seed) -> np.ndarray:
     """Draw ``n`` zero-mean circular Gaussian input pairs with the
     covariance implied by ``sig``; returns an (n, 2) complex array."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = _as_rng(seed)
-    cov = sig.covariance()
-    factor = _covariance_factor(cov)
-    z = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2.0)
-    return z @ factor.T
+    return _draw_inputs(sig.covariance(), n, _as_rng(seed))
 
 
 def _pa_output(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -191,24 +197,17 @@ class SampleBatch:
         return float(1.0 - np.mean(self.converged))
 
 
-def simulate_batch(
-    hw: HardwareConfig,
-    sig: SignalSpec,
-    n: int,
-    seed,
-    n_threads: int = 1,
-) -> SampleBatch:
-    """Draw inputs, solve the exact feedback system and add thermal noise.
+def _simulate(gamma, k, rho, q, cov, sigma_w2, n, seed, n_threads=1) -> SampleBatch:
+    """Chunked Monte-Carlo core for any branch count.
 
-    Aborts with :class:`ConvergenceError` when more than 0.1 percent of
-    the samples fail to converge, reporting the failure count.
+    Draws inputs with covariance ``cov``, solves the feedback system
+    ``u = gamma x + k r(u)`` (``r`` the amplifier output) chunk by chunk
+    from the linearized start ``q x``, enforces the failure-rate limit
+    and adds thermal noise of variance ``sigma_w2``.
     """
     rng = _as_rng(seed)
-    x = sample_inputs(sig, n, rng)
-    gamma = hw.gain_vector
-    k = hw.feedback_matrix
-    rho = hw.rho_vector
-    q = coupling_matrix(hw)
+    x = _draw_inputs(cov, n, rng)
+    m = x.shape[1]
 
     u = np.empty_like(x)
     converged = np.zeros(n, dtype=bool)
@@ -233,10 +232,28 @@ def simulate_batch(
         )
 
     r = _pa_output(u, rho)
-    w = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) * np.sqrt(
-        hw.sigma_w2 / 2.0
+    w = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * np.sqrt(
+        sigma_w2 / 2.0
     )
     return SampleBatch(x=x, u=u, r=r, y=r + w, seed=seed, converged=converged)
+
+
+def simulate_batch(
+    hw: HardwareConfig,
+    sig: SignalSpec,
+    n: int,
+    seed,
+    n_threads: int = 1,
+) -> SampleBatch:
+    """Draw inputs, solve the exact feedback system and add thermal noise.
+
+    Aborts with :class:`ConvergenceError` when more than 0.1 percent of
+    the samples fail to converge, reporting the failure count.
+    """
+    return _simulate(
+        hw.gain_vector, hw.feedback_matrix, hw.rho_vector, coupling_matrix(hw),
+        sig.covariance(), hw.sigma_w2, n, seed, n_threads,
+    )
 
 
 def _converged_only(batch: SampleBatch):
@@ -248,22 +265,34 @@ def _converged_only(batch: SampleBatch):
     return mask
 
 
+def _empirical_nmse(batch: SampleBatch, gamma, powers) -> np.ndarray:
+    """Per-branch sample NMSE against the ideal outputs ``gamma x``.
+
+    ``powers[l]`` is the configured input power of branch ``l``; silent
+    branches get an infinite NMSE.  Columns are reduced one at a time
+    so each mean is the same pairwise sum whatever the branch count.
+    """
+    mask = _converged_only(batch)
+    err = batch.y[mask] - batch.x[mask] * gamma
+    out = np.full(err.shape[1], np.inf)
+    for ell in range(err.shape[1]):
+        if powers[ell] > 0:
+            mean_err = float(np.mean(np.abs(err[:, ell]) ** 2))
+            out[ell] = mean_err / (gamma[ell] * gamma[ell] * powers[ell])
+    return out
+
+
 def empirical_nmse(batch: SampleBatch, hw: HardwareConfig, sig: SignalSpec):
     """Sample-mean normalized error powers ``(nmse1, nmse2)``.
 
     Uses the noisy outputs and the ideal linear references; branch
     powers follow the configured covariance scaling.
     """
-    mask = _converged_only(batch)
-    g1, g2 = hw.gamma
-    err = batch.y[mask] - batch.x[mask] * hw.gain_vector
-    p1 = sig.p_x
-    p2 = sig.p_x * sig.beta ** 2
-    if p1 <= 0 or p2 <= 0:
+    powers = (sig.p_x, sig.p_x * sig.beta ** 2)
+    if powers[0] <= 0 or powers[1] <= 0:
         raise ValueError("empirical NMSE needs positive branch powers")
-    n1 = float(np.mean(np.abs(err[:, 0]) ** 2)) / (g1 * g1 * p1)
-    n2 = float(np.mean(np.abs(err[:, 1]) ** 2)) / (g2 * g2 * p2)
-    return n1, n2
+    n1, n2 = _empirical_nmse(batch, hw.gain_vector, powers)
+    return float(n1), float(n2)
 
 
 def covariance_mismatch(batch: SampleBatch, hw: HardwareConfig) -> float:

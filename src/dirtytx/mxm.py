@@ -6,7 +6,9 @@ same pieces: a linearized coupling matrix, the Gaussian moment
 identities, and per-branch error polynomials in the reference power.
 Only the exact SE-optimal precoder stays two-branch specific (its
 candidate enumeration grows combinatorially); the matched-filter
-baselines generalize directly.
+baselines generalize directly.  Monte-Carlo batches and their sample
+NMSE run on the same chunked, failure-guarded core as the two-branch
+simulator in :mod:`montecarlo`.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFiniteOptimumError, SingularCouplingError
-from .montecarlo import SampleBatch, _as_rng, _covariance_factor, _pa_output, _solve_chunk
+from .montecarlo import SampleBatch, _empirical_nmse, _simulate
 from .polyroots import unique_positive_root
 from .precoding import ChannelSpec, PrecoderSolution, _conventional_mrt_engine, _da_mrt_engine, default_eta_grid
 
@@ -144,14 +146,14 @@ def build_q_m(hw: HardwareConfigM, exact: bool = False) -> np.ndarray:
     return np.linalg.solve(mat, l_mat)
 
 
-def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM, exact_q: bool = False):
+def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM):
     """Per-branch error-variance polynomial coefficients.
 
     Returns ``(cubic, quadratic, linear, denom)`` arrays so that branch
     ``l`` has error variance ``cubic[l] p^3 + quadratic[l] p^2 +
     linear[l] p + sigma_w2`` and NMSE ``error / (denom[l] p)``.
     """
-    q = build_q_m(hw, exact=exact_q)
+    q = build_q_m(hw)
     l_mat = np.diag(hw.gamma)
     s = spec.c_x_shape
     rho = hw.rho
@@ -167,15 +169,13 @@ def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM, exact_q: bool = 
     return cubic, quadratic, linear, denom
 
 
-def nmse_branches_m(
-    hw: HardwareConfigM, spec: SignalSpecM, p_x: float | None = None, exact_q: bool = False
-) -> np.ndarray:
+def nmse_branches_m(hw: HardwareConfigM, spec: SignalSpecM, p_x: float | None = None) -> np.ndarray:
     """Per-branch NMSE values at reference power ``p_x``.
 
     Branches with zero configured input power get an infinite NMSE.
     """
     p = spec.p_x if p_x is None else p_x
-    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec, exact_q=exact_q)
+    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
     err = cubic * p ** 3 + quadratic * p * p + linear * p + hw.sigma_w2
     out = np.full(hw.n_branches, np.inf)
     ok = denom * p > 0
@@ -183,9 +183,7 @@ def nmse_branches_m(
     return out
 
 
-def minmax_backoff_m(
-    hw: HardwareConfigM, spec: SignalSpecM, rel_tol: float = 1e-13, exact_q: bool = False
-) -> float:
+def minmax_backoff_m(hw: HardwareConfigM, spec: SignalSpecM) -> float:
     """Reference power minimizing the worst branch NMSE, any branch count.
 
     Each branch NMSE is convex in the power, so the worst-branch
@@ -196,7 +194,7 @@ def minmax_backoff_m(
     """
     if np.any(hw.rho == 0):
         raise NoFiniteOptimumError("all branches must be compressive for a finite optimum")
-    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec, exact_q=exact_q)
+    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
     active = denom > 0
     if not np.any(active):
         raise ValueError("no branch carries power")
@@ -228,14 +226,12 @@ def minmax_backoff_m(
             lo = mid
         else:
             return float(mid)
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-13 * hi:
             break
     return float(0.5 * (lo + hi))
 
 
-def mrt_variants_m(
-    channel: ChannelSpec, hw: HardwareConfigM, eta_grid=None, exact_q: bool = False
-) -> dict[str, PrecoderSolution]:
+def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, PrecoderSolution]:
     """Matched-filter baselines for an M-branch transmitter.
 
     Returns the conventional fixed-direction design and the
@@ -246,48 +242,25 @@ def mrt_variants_m(
         raise ValueError("channel length must match the branch count")
     if not np.all(hw.rho < 0):
         raise ValueError("all branches must be strictly compressive")
-    q = build_q_m(hw, exact=exact_q)
+    q = build_q_m(hw)
     h = channel.h
-    if eta_grid is None:
-        eta_grid = default_eta_grid(h, q, hw.rho)
     conventional = _conventional_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2, np.asarray(eta_grid, dtype=float))
+    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2, default_eta_grid(h, q, hw.rho))
     return {"conventional": conventional, "distortion_aware": aware}
 
 
-def simulate_batch_m(
-    hw: HardwareConfigM, spec: SignalSpecM, n: int, seed, exact_q: bool = False
-) -> SampleBatch:
+def simulate_batch_m(hw: HardwareConfigM, spec: SignalSpecM, n: int, seed) -> SampleBatch:
     """Exact nonlinear feedback simulation for M branches.
 
-    Same solver and randomness discipline as the two-branch batch; the
-    linearized coupling matrix only seeds the iteration.
+    Same chunked solver, randomness discipline and failure-rate guard
+    as the two-branch batch; the linearized coupling matrix only seeds
+    the iteration.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = _as_rng(seed)
-    factor = _covariance_factor(spec.covariance())
-    m = hw.n_branches
-    z = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / np.sqrt(2.0)
-    x = z @ factor.T
-    q = build_q_m(hw, exact=exact_q)
-    u, converged = _solve_chunk(x, hw.gamma, hw.feedback_matrix, hw.rho, q)
-    r = _pa_output(u, hw.rho)
-    w = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * np.sqrt(
-        hw.sigma_w2 / 2.0
+    return _simulate(
+        hw.gamma, hw.feedback_matrix, hw.rho, build_q_m(hw), spec.covariance(), hw.sigma_w2, n, seed
     )
-    return SampleBatch(x=x, u=u, r=r, y=r + w, seed=seed, converged=converged)
 
 
 def empirical_nmse_m(batch: SampleBatch, hw: HardwareConfigM, spec: SignalSpecM) -> np.ndarray:
     """Sample NMSE per branch from an M-branch batch."""
-    mask = batch.converged
-    if not np.any(mask):
-        raise ValueError("batch has no converged samples")
-    err = batch.y[mask] - batch.x[mask] * hw.gamma
-    power = hw.gamma ** 2 * np.real(np.diag(spec.c_x_shape)) * spec.p_x
-    mean_err = np.mean(np.abs(err) ** 2, axis=0)
-    out = np.full(hw.n_branches, np.inf)
-    ok = power > 0
-    out[ok] = mean_err[ok] / power[ok]
-    return out
+    return _empirical_nmse(batch, hw.gamma, spec.p_x * np.real(np.diag(spec.c_x_shape)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFiniteOptimumError
-from .model import HardwareConfig, SignalSpec
+from .model import HardwareConfig, SignalSpec, _internal_powers
 from .polyroots import real_roots, unique_positive_root
 from .units import linear_to_db
 
@@ -92,8 +92,7 @@ def _branch_polynomials(hw: HardwareConfig, sig: SignalSpec):
     b = sig.beta
     xi = complex(sig.xi)
 
-    t11 = g1 * g1 * (1.0 + 2.0 * g2 * b * (np.conj(k2) * xi).real + g2 * g2 * abs(k2) ** 2 * b * b)
-    t22 = g2 * g2 * (b * b + 2.0 * g1 * b * (k1 * xi).real + g1 * g1 * abs(k1) ** 2)
+    t11, t22 = _internal_powers(g1, g2, k1, k2, b, xi)
 
     c3_1 = 6.0 * r1 * r1 * t11 ** 3
     c2_1 = 4.0 * g1 * g1 * g2 * t11 * r1 * (g2 * b * b * abs(k2) ** 2 + b * (k2 * np.conj(xi)).real)
@@ -207,7 +206,7 @@ class BackoffSolution:
     tied: bool = False
 
 
-def _stationarity_cubic(coeffs, denom_unused, sigma_w2):
+def _stationarity_cubic(coeffs, sigma_w2):
     c3, c2, _ = coeffs
     return np.array([2.0 * c3, c2, 0.0, -sigma_w2])
 
@@ -235,8 +234,8 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
         return e1 / (denom[0] * p), e2 / (denom[1] * p)
 
     candidates: dict[str, float] = {}
-    candidates["branch1_min"] = unique_positive_root(_stationarity_cubic(coeffs[0], denom[0], sw2))
-    candidates["branch2_min"] = unique_positive_root(_stationarity_cubic(coeffs[1], denom[1], sw2))
+    candidates["branch1_min"] = unique_positive_root(_stationarity_cubic(coeffs[0], sw2))
+    candidates["branch2_min"] = unique_positive_root(_stationarity_cubic(coeffs[1], sw2))
 
     # Crossing polynomial: p * (NMSE1 - NMSE2) expressed in the branch
     # coefficients.  Fully symmetric setups make it vanish identically.

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryEvaluationError, NoFiniteOptimumError
-from .model import (
-    BussgangGainWarning,
-    HardwareConfig,
-    bussgang_gains,
-    coupling_matrix,
-    distortion_covariance,
-)
+from .model import BussgangGainWarning, HardwareConfig, coupling_matrix
 from .polyroots import real_roots, unique_positive_root
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "EffectiveNoise",
     "PrecoderSolution",
     "sndr",
-    "sndr_matrix",
     "achievable_se",
     "optimal_precoder",
     "perturbation_se",
@@ -147,32 +140,6 @@ def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
     """Scalar-form SNDR of an effective precoder ``c_eff = Q c``."""
     en = EffectiveNoise.from_channel(channel, hw)
     return _sndr_value(np.asarray(c_eff, dtype=complex), channel.h, en.h_tilde, en.sigma2)
-
-
-def sndr_matrix(c, channel: ChannelSpec, hw: HardwareConfig) -> float:
-    """SNDR via the Bussgang matrix route, from the actual precoder ``c``.
-
-    Builds the rank-one internal covariance ``Qc (Qc)^H``, the diagonal
-    gain matrix and the distortion covariance, and evaluates
-    ``|h^T A Q c|^2 / (h^T V h* + sigma_w2 ||h||^2 + sigma_n2)``.
-    Agrees with :func:`sndr` to rounding for all inputs; kept as an
-    independent route for cross-checking.
-    """
-    q = coupling_matrix(hw)
-    c = np.asarray(c, dtype=complex)
-    c_eff = q @ c
-    u_cov = np.outer(c_eff, c_eff.conj())
-    rho = hw.rho_vector
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BussgangGainWarning)
-        gains = bussgang_gains(u_cov, rho)
-    v = distortion_covariance(u_cov, rho)
-    h = channel.h
-    num = abs(np.dot(h, gains * c_eff)) ** 2
-    den = float(np.dot(h, v @ h.conj()).real) + hw.sigma_w2 * float(
-        np.vdot(h, h).real
-    ) + channel.sigma_n2
-    return float(num / den)
 
 
 def achievable_se(sndr_value: float) -> float:
@@ -404,14 +371,8 @@ def _da_mrt_rows(h: np.ndarray, rho: np.ndarray, etas: np.ndarray) -> np.ndarray
     return amps * np.exp(-1j * np.angle(h))
 
 
-def _da_mrt_c_eff(h: np.ndarray, rho: np.ndarray, eta: float) -> np.ndarray:
-    return _da_mrt_rows(h, rho, np.array([eta]))[0]
-
-
-def default_eta_grid(
-    channel_or_h, hw_or_q, rho=None, n_points: int = 200
-) -> np.ndarray:
-    """Logarithmic search grid for the distortion-aware matched filter.
+def default_eta_grid(h: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """200-point logarithmic search grid for the distortion-aware matched filter.
 
     The lower end maps (through the small-signal relation
     ``p_x ~ eta |(Q^-1 h*)_1|^2``) to roughly -40 dBm of reference
@@ -419,14 +380,6 @@ def default_eta_grid(
     Bussgang gain of saturation, which is where the reachable power
     curve plateaus.
     """
-    if rho is None:
-        channel, hw = channel_or_h, hw_or_q
-        h = channel.h
-        q = coupling_matrix(hw)
-        rho = hw.rho_vector
-    else:
-        h, q = np.asarray(channel_or_h, dtype=complex), np.asarray(hw_or_q)
-        rho = np.asarray(rho, dtype=float)
     ref = abs(np.linalg.solve(q, h.conj())[0])
     if ref == 0:
         ref = 1.0
@@ -440,7 +393,7 @@ def default_eta_grid(
     else:
         eta_hi = eta_lo * 1e8
     eta_hi = max(eta_hi, eta_lo * 10.0)
-    return np.logspace(np.log10(eta_lo), np.log10(eta_hi), n_points)
+    return np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200)
 
 
 def _da_mrt_engine(q, h, rho, sigma_w2, sigma_n2, eta_grid) -> PrecoderSolution:
@@ -471,26 +424,24 @@ def distortion_aware_mrt(
     """
     if not all(r < 0 for r in hw.rho):
         raise ValueError("both branches must be strictly compressive")
+    q = coupling_matrix(hw)
     if eta_grid is None:
-        eta_grid = default_eta_grid(channel, hw)
+        eta_grid = default_eta_grid(channel.h, q, hw.rho_vector)
     eta_grid = np.asarray(eta_grid, dtype=float)
     if eta_grid.ndim != 1 or eta_grid.size == 0 or np.any(eta_grid <= 0):
         raise ValueError("eta grid must be a non-empty vector of positive values")
-    return _da_mrt_engine(
-        coupling_matrix(hw), channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2, eta_grid
-    )
+    return _da_mrt_engine(q, channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2, eta_grid)
 
 
-def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig, eta_grid=None):
+def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     """Reference power and SE along the distortion-aware family.
 
-    Returns ``(eta_grid, p_x, se)`` arrays; useful for sweep plots where
-    the family is compared against fixed-power baselines.
+    Returns ``(eta_grid, p_x, se)`` arrays over :func:`default_eta_grid`;
+    useful for sweep plots where the family is compared against
+    fixed-power baselines.
     """
-    if eta_grid is None:
-        eta_grid = default_eta_grid(channel, hw)
-    eta_grid = np.asarray(eta_grid, dtype=float)
     q = coupling_matrix(hw)
+    eta_grid = default_eta_grid(channel.h, q, hw.rho_vector)
     en = EffectiveNoise.from_channel(channel, hw)
     rows = _da_mrt_rows(channel.h, hw.rho_vector, eta_grid)
     c_rows = np.linalg.solve(q, rows.T).T

@@ -4,12 +4,30 @@ Everything here is deliberately dumb: optima come from dense grids plus
 golden-section refinement, derivatives from central differences, and
 the precoder benchmark from a brute-force score over an amplitude
 lattice with its own SNDR formula.  None of it shares code with the
-closed-form routines under test.
+closed-form routines under test, with one stated exception:
+:func:`sndr_matrix` assembles the SNDR from the model-layer moments
+(``bussgang_gains`` and ``distortion_covariance``), so it checks the
+scalar SNDR form of the precoding layer against the Bussgang matrix
+statistics rather than against an independent derivation.  The
+symmetric distortion-free pair (:func:`effective_linear_gain`,
+:func:`linear_output_covariance`) is a closed-loop reference for the
+coupling model.
 """
+
+import warnings
 
 import numpy as np
 
-from dirtytx import HardwareConfig, SignalSpec, nmse_branches
+from dirtytx import (
+    BussgangGainWarning,
+    HardwareConfig,
+    SignalSpec,
+    bussgang_gains,
+    coupling_matrix,
+    distortion_covariance,
+    nmse_branches,
+)
+from dirtytx.errors import FeedbackDivergenceError
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -88,6 +106,58 @@ def sndr_direct(c_eff, h, rho, sigma_w2, sigma_n2):
     dist = np.sum(2.0 * h * rho * np.abs(c_eff) ** 2 * c_eff)
     sigma2 = 2.0 * sigma_w2 * float(np.sum(np.abs(h) ** 2)) + 2.0 * sigma_n2
     return float(2.0 * abs(lin + dist) ** 2 / (abs(dist) ** 2 + sigma2))
+
+
+def sndr_matrix(c, channel, hw) -> float:
+    """SNDR via the Bussgang matrix route, from the actual precoder ``c``.
+
+    Builds the rank-one internal covariance ``Qc (Qc)^H``, the diagonal
+    gain matrix and the distortion covariance, and evaluates
+    ``|h^T A Q c|^2 / (h^T V h* + sigma_w2 ||h||^2 + sigma_n2)``.
+    Agrees with ``dirtytx.sndr`` to rounding for all inputs.
+    """
+    q = coupling_matrix(hw)
+    c = np.asarray(c, dtype=complex)
+    c_eff = q @ c
+    u_cov = np.outer(c_eff, c_eff.conj())
+    rho = hw.rho_vector
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BussgangGainWarning)
+        gains = bussgang_gains(u_cov, rho)
+    v = distortion_covariance(u_cov, rho)
+    h = channel.h
+    num = abs(np.dot(h, gains * c_eff)) ** 2
+    den = float(np.dot(h, v @ h.conj()).real) + hw.sigma_w2 * float(
+        np.vdot(h, h).real
+    ) + channel.sigma_n2
+    return float(num / den)
+
+
+def effective_linear_gain(gamma: float, delta: float) -> float:
+    """Signal gain of one branch of a symmetric distortion-free pair.
+
+    ``delta = gamma * kappa`` is the real loop coefficient; the closed
+    loop is only stable for ``|delta| < 1``.
+    """
+    if abs(delta) >= 1:
+        raise FeedbackDivergenceError("loop coefficient magnitude must be < 1")
+    return gamma * np.sqrt(1.0 + delta * delta) / (1.0 - delta * delta)
+
+
+def linear_output_covariance(gamma: float, delta: float, p_x: float) -> np.ndarray:
+    """Output covariance of the symmetric distortion-free pair.
+
+    Assumes uncorrelated equal-power inputs (covariance ``p_x I``).  The
+    off-diagonal shows the correlation introduced purely by crosstalk.
+    """
+    if abs(delta) >= 1:
+        raise FeedbackDivergenceError("loop coefficient magnitude must be < 1")
+    g2 = gamma * gamma
+    scale = p_x / (1.0 - delta * delta) ** 2
+    return scale * np.array(
+        [[g2 * (1.0 + delta * delta), 2.0 * delta * g2],
+         [2.0 * delta * g2, g2 * (1.0 + delta * delta)]]
+    )
 
 
 def se_amplitude_lattice(h, hw, sigma_n2, n=400, span=5.0, phases=(1.0, -1.0)):

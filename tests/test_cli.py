@@ -124,6 +124,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path, hardware=dict(HW_BLOCK, rho=[0.025, -0.025]))
         assert main(["run", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"hardware": dict(HW_BLOCK, rho=["a", -0.02])},
+            {"hardware": dict(HW_BLOCK, rho=[float("nan"), -0.025])},
+            {"sweep": {"gain2": [float("inf"), 30.0], "crosstalk2": [-50.0]}},
+            {"sweep": {"gain2": {"start": 25.0, "stop": 30.0, "count": True}, "crosstalk2": [-50.0]}},
+            # The sweep replaces this crosstalk, so only parsing can catch it.
+            {"hardware": dict(HW_BLOCK, crosstalk2=[float("nan"), -50.0])},
+        ],
+        ids=["string", "nan", "infinity", "bool-count", "nan-overridden"],
+    )
+    def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_numerical_failure_exits_three(self, tmp_path, capsys):
         # Zero compression is a legal hardware description, but the
         # worst-branch back-off then has no finite optimum.

@@ -17,15 +17,14 @@ from dirtytx import (
     db_to_linear,
     dbm_to_watt,
     distortion_covariance,
-    effective_linear_gain,
     fourth_moment_matrix,
     internal_covariance,
-    linear_output_covariance,
     linear_to_db,
     sixth_moment_matrix,
     unit_internal_covariance,
     watt_to_dbm,
 )
+from oracles import effective_linear_gain, linear_output_covariance
 
 
 def random_psd(rng, n=2):

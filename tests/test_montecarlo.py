@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dirtytx import (
+    ConvergenceError,
     HardwareConfig,
     SignalSpec,
     build_model,
@@ -19,6 +20,8 @@ from dirtytx import (
     simulate_batch,
     solve_feedback,
 )
+from dirtytx import montecarlo
+from dirtytx.mxm import hardware_from_pair, signal_from_pair, simulate_batch_m
 
 from conftest import make_symmetric_hw
 
@@ -130,6 +133,19 @@ class TestSimulateBatch:
         hw = make_symmetric_hw()
         batch = simulate_batch(hw, reference_sig(0.0), 10 ** 4, 557)
         assert batch.failure_rate == 0.0
+
+    @pytest.mark.parametrize("lift", [False, True], ids=["two-branch", "m-branch"])
+    def test_failure_rate_guard(self, monkeypatch, lift):
+        # With no solver iterations allowed every sample fails, which is
+        # far above the tolerated failure rate.
+        monkeypatch.setattr(montecarlo, "_MAX_FIXED_POINT", 0)
+        monkeypatch.setattr(montecarlo, "_MAX_NEWTON", 0)
+        hw, sig = make_symmetric_hw(), reference_sig(-6.0)
+        with pytest.raises(ConvergenceError, match="failed on 64 of 64 samples"):
+            if lift:
+                simulate_batch_m(hardware_from_pair(hw), signal_from_pair(sig), 64, 559)
+            else:
+                simulate_batch(hw, sig, 64, 559)
 
     def test_noise_power_calibration(self):
         hw = make_symmetric_hw()

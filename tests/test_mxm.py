@@ -10,6 +10,7 @@ from dirtytx import (
     conventional_mrt,
     dbm_to_watt,
     distortion_aware_mrt,
+    empirical_nmse,
     minmax_backoff,
     nmse_branches,
     simulate_batch,
@@ -164,10 +165,14 @@ class TestTwoBranchSpecialization:
             sigma_w2=1e-4,
         )
         sig = SignalSpec(p_x=dbm_to_watt(-6.0), beta=1.3, xi=0.4)
-        two = simulate_batch(hw, sig, 5000, 888)
-        many = simulate_batch_m(hardware_from_pair(hw), signal_from_pair(sig), 5000, 888)
-        assert np.array_equal(two.u, many.u)
-        assert np.array_equal(two.y, many.y)
+        hw_m, spec = hardware_from_pair(hw), signal_from_pair(sig)
+        # 40000 samples span three solver chunks.
+        for n in (5000, 40000):
+            two = simulate_batch(hw, sig, n, 888)
+            many = simulate_batch_m(hw_m, spec, n, 888)
+            assert np.array_equal(two.u, many.u)
+            assert np.array_equal(two.y, many.y)
+            assert empirical_nmse(two, hw, sig) == tuple(empirical_nmse_m(many, hw_m, spec))
 
 
 class TestNmseBranchesM:

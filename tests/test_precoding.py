@@ -15,9 +15,8 @@ from dirtytx import (
     optimal_precoder,
     perturbation_se,
     sndr,
-    sndr_matrix,
 )
-from oracles import random_channels, se_amplitude_lattice, sndr_direct
+from oracles import random_channels, se_amplitude_lattice, sndr_direct, sndr_matrix
 
 
 def reference_hw(rho=(-0.025, -0.025)):
