@@ -51,16 +51,6 @@ __all__ = [
     "render",
 ]
 
-EXPERIMENT_KINDS = (
-    "gaussian-validation",
-    "nmse-sweep",
-    "backoff-vs-gain",
-    "se-perturbation",
-    "se-mrt-sweep",
-    "se-average",
-    "se-vs-crosstalk",
-)
-
 _CASE_IDS = {"branch1_min": 1.0, "branch2_min": 2.0, "balanced": 3.0}
 
 
@@ -103,7 +93,7 @@ def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc) from exc
@@ -112,50 +102,77 @@ def load_config(path) -> dict:
     return raw
 
 
+_REQUIRED = object()
+
+# The config paths a ``units`` block may name: every field the runners
+# convert.  The set is shared by all experiment kinds, so that one units
+# block can serve every kind.
+_UNIT_PATHS = frozenset({
+    "hardware.gain2", "hardware.crosstalk2", "hardware.noise",
+    "channel.sigma_n2", "channel_distribution.sigma_n2",
+    "p_x_points", "sweep.p_x", "sweep.gain2", "sweep.crosstalk2",
+})
+
+
+def _get(section, path, default=_REQUIRED, read=None):
+    """The field ``path`` ("section.key", or "key" at the top level).
+
+    ``read(value, path)``, when given, checks and converts the value.
+    """
+    where, _, key = path.rpartition(".")
+    if key in section:
+        value = section[key]
+    elif default is _REQUIRED:
+        raise ConfigError("missing %r in %s" % (key, where or "config"))
+    else:
+        value = default
+    return value if read is None else read(value, path)
+
+
+def _object(obj, allowed, where):
+    """``obj``, which must be an object holding only ``allowed`` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be an object" % where)
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise ConfigError("unknown keys %s in %s" % (sorted(extra, key=str), where))
+    return obj
+
+
+def _section(cfg, key, allowed):
+    return _object(_get(cfg, key), allowed, key)
+
+
 class _Units:
     """The single dB/dBm-to-linear conversion boundary."""
 
     _ALLOWED = {"dB", "dBm", "linear", "watt"}
 
     def __init__(self, block):
-        if block is None:
-            block = {}
-        if not isinstance(block, dict):
-            raise ConfigError("units block must be an object")
-        for key, val in block.items():
-            if val not in self._ALLOWED:
+        self.block = _object({} if block is None else block, _UNIT_PATHS, "units")
+        for key, val in self.block.items():
+            if not isinstance(val, str) or val not in self._ALLOWED:
                 raise ConfigError(
                     "unit for %r must be one of %s" % (key, sorted(self._ALLOWED))
                 )
-        self.block = dict(block)
 
-    def power(self, path, value):
+    def power(self, value, path):
+        value = _scalar(value, path)
         unit = self.block.get(path, "watt")
         if unit == "dBm":
             return float(dbm_to_watt(value))
         if unit == "watt":
-            return float(value)
+            return value
         raise ConfigError("%s carries %s; expected dBm or watt" % (path, unit))
 
-    def ratio(self, path, value):
+    def ratio(self, value, path):
+        value = _scalar(value, path)
         unit = self.block.get(path, "linear")
         if unit == "dB":
             return float(db_to_linear(value))
         if unit == "linear":
-            return float(value)
+            return value
         raise ConfigError("%s carries %s; expected dB or linear" % (path, unit))
-
-
-def _need(section, key, where):
-    if key not in section:
-        raise ConfigError("missing %r in %s" % (key, where))
-    return section[key]
-
-
-def _pair(value, where):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError("%s must be a pair" % where)
-    return [_scalar(v, where) for v in value]
 
 
 def _scalar(value, where):
@@ -167,69 +184,69 @@ def _scalar(value, where):
     return float(value)
 
 
+def _pair(value, where, convert=_scalar):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError("%s must be a pair" % where)
+    return [convert(v, where) for v in value]
+
+
+def _complex(value, where):
+    """A real number or an ``[re, im]`` pair."""
+    if isinstance(value, (list, tuple)):
+        return complex(*_pair(value, where))
+    return complex(_scalar(value, where))
+
+
 def _count(value, where):
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError("%s must be a positive integer" % where)
     return value
 
 
-def _grid(obj, where, convert):
+def _grid(section, path, convert, default=_REQUIRED):
     """A sweep axis: an explicit list or a {start, stop, count} range.
 
-    Ranges are spaced linearly in the declared unit, so a dBm range is
-    logarithmic in watts.
+    ``convert(value, path)`` reads each point.  Ranges are spaced
+    linearly in the declared unit, so a dBm range is logarithmic in watts.
     """
+    obj = _get(section, path, default)
     if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return np.array([])
-        return np.array([convert(_scalar(v, where)) for v in obj])
-    if isinstance(obj, dict):
-        extra = set(obj) - {"start", "stop", "count"}
-        if extra:
-            raise ConfigError("unknown keys %s in %s" % (sorted(extra), where))
-        start = _scalar(_need(obj, "start", where), where + ".start")
-        stop = _scalar(_need(obj, "stop", where), where + ".stop")
-        count = _count(_need(obj, "count", where), where + ".count")
-        return np.array([convert(v) for v in np.linspace(start, stop, count)])
-    raise ConfigError("%s must be a list or a range object" % where)
+        return np.array([convert(v, path) for v in obj])
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a list or a range object" % path)
+    _object(obj, ("start", "stop", "count"), path)
+    start = _get(obj, path + ".start", read=_scalar)
+    stop = _get(obj, path + ".stop", read=_scalar)
+    count = _get(obj, path + ".count", read=_count)
+    return np.array([convert(v, path) for v in np.linspace(start, stop, count)])
+
+
+def _magnitudes(squared):
+    """Magnitudes from squared magnitudes, which must be non-negative."""
+    if any(v < 0 for v in squared):
+        raise ConfigError("squared magnitudes must be non-negative")
+    return tuple(np.sqrt(v) for v in squared)
 
 
 def _parse_hardware(cfg, units):
-    section = _need(cfg, "hardware", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("hardware must be an object")
-    extra = set(section) - {"gain2", "crosstalk2", "crosstalk_phase", "rho", "noise"}
-    if extra:
-        raise ConfigError("unknown hardware keys: %s" % sorted(extra))
-    gain2 = [
-        units.ratio("hardware.gain2", v)
-        for v in _pair(_need(section, "gain2", "hardware"), "hardware.gain2")
-    ]
-    kap2 = [
-        units.ratio("hardware.crosstalk2", v)
-        for v in _pair(_need(section, "crosstalk2", "hardware"), "hardware.crosstalk2")
-    ]
-    phase = _pair(section.get("crosstalk_phase", [0.0, 0.0]), "hardware.crosstalk_phase")
-    rho = _pair(_need(section, "rho", "hardware"), "hardware.rho")
-    noise = units.power("hardware.noise", _scalar(_need(section, "noise", "hardware"), "hardware.noise"))
-    if any(v < 0 for v in gain2) or any(v < 0 for v in kap2):
-        raise ConfigError("squared magnitudes must be non-negative")
+    hw = _section(cfg, "hardware", ("gain2", "crosstalk2", "crosstalk_phase", "rho", "noise"))
+    gain2, kappa2 = (
+        _pair(_get(hw, path), path, units.ratio)
+        for path in ("hardware.gain2", "hardware.crosstalk2")
+    )
     return {
-        "gamma": (np.sqrt(gain2[0]), np.sqrt(gain2[1])),
-        "kappa_abs": (np.sqrt(kap2[0]), np.sqrt(kap2[1])),
-        "kappa_phase": tuple(phase),
-        "rho": tuple(rho),
-        "sigma_w2": noise,
+        "gamma": _magnitudes(gain2),
+        "kappa_abs": _magnitudes(kappa2),
+        "kappa_phase": _get(hw, "hardware.crosstalk_phase", [0.0, 0.0], _pair),
+        "rho": tuple(_get(hw, "hardware.rho", read=_pair)),
+        "sigma_w2": _get(hw, "hardware.noise", read=units.power),
     }
 
 
-def _build_hw(parts, kappa2_linear=None, gain2_linear=None) -> HardwareConfig:
-    kappa_abs = parts["kappa_abs"]
-    if kappa2_linear is not None:
-        kappa_abs = (np.sqrt(kappa2_linear), np.sqrt(kappa2_linear))
-    gamma = parts["gamma"]
-    if gain2_linear is not None:
-        gamma = (np.sqrt(gain2_linear), np.sqrt(gain2_linear))
+def _build_hw(parts, kappa2=None, gain2=None) -> HardwareConfig:
+    """The parsed hardware, with a sweep's squared crosstalk or gain on both branches."""
+    gamma = parts["gamma"] if gain2 is None else _magnitudes((gain2, gain2))
+    kappa_abs = parts["kappa_abs"] if kappa2 is None else _magnitudes((kappa2, kappa2))
     kappa = tuple(
         a * np.exp(1j * p) for a, p in zip(kappa_abs, parts["kappa_phase"])
     )
@@ -241,68 +258,23 @@ def _build_hw(parts, kappa2_linear=None, gain2_linear=None) -> HardwareConfig:
         raise ConfigError("invalid hardware: %s" % exc) from exc
 
 
-def _parse_signal(cfg, units, need_power):
-    section = _need(cfg, "signal", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("signal must be an object")
-    extra = set(section) - {"beta", "xi", "p_x"}
-    if extra:
-        raise ConfigError("unknown signal keys: %s" % sorted(extra))
-    beta = _scalar(section.get("beta", 1.0), "signal.beta")
-    xi_raw = section.get("xi", 0.0)
-    if isinstance(xi_raw, (list, tuple)):
-        xi_pair = _pair(xi_raw, "signal.xi")
-        xi = complex(xi_pair[0], xi_pair[1])
-    else:
-        xi = complex(_scalar(xi_raw, "signal.xi"))
-    p_x = 1.0
-    if need_power:
-        p_x = units.power("signal.p_x", _scalar(_need(section, "p_x", "signal"), "signal.p_x"))
-    elif "p_x" in section:
-        p_x = units.power("signal.p_x", _scalar(section["p_x"], "signal.p_x"))
+def _parse_signal(cfg):
+    """Input statistics; each runner supplies the power."""
+    sig = _section(cfg, "signal", ("beta", "xi"))
     try:
-        return SignalSpec(p_x=p_x, beta=beta, xi=xi)
+        return SignalSpec(
+            p_x=1.0,
+            beta=_get(sig, "signal.beta", 1.0, _scalar),
+            xi=_get(sig, "signal.xi", 0.0, _complex),
+        )
     except ValueError as exc:
         raise ConfigError("invalid signal: %s" % exc) from exc
 
 
-def _parse_channel(cfg, units) -> ChannelSpec:
-    section = _need(cfg, "channel", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("channel must be an object")
-    extra = set(section) - {"h", "sigma_n2"}
-    if extra:
-        raise ConfigError("unknown channel keys: %s" % sorted(extra))
-    h_raw = _need(section, "h", "channel")
-    if not isinstance(h_raw, (list, tuple)) or len(h_raw) < 1:
-        raise ConfigError("channel.h must be a list of [re, im] pairs")
-    h = np.array([complex(*_pair(entry, "channel.h entry")) for entry in h_raw])
-    sigma_n2 = units.power(
-        "channel.sigma_n2", _scalar(_need(section, "sigma_n2", "channel"), "channel.sigma_n2")
-    )
-    try:
-        return ChannelSpec(h=h, sigma_n2=sigma_n2)
-    except ValueError as exc:
-        raise ConfigError("invalid channel: %s" % exc) from exc
-
-
 def _parse_channel_distribution(cfg, units):
-    section = _need(cfg, "channel_distribution", "config")
-    if not isinstance(section, dict):
-        raise ConfigError("channel_distribution must be an object")
-    extra = set(section) - {"count", "sigma_n2"}
-    if extra:
-        raise ConfigError("unknown channel_distribution keys: %s" % sorted(extra))
-    count = _count(_need(section, "count", "channel_distribution"), "channel_distribution.count")
-    sigma_n2 = units.power(
-        "channel_distribution.sigma_n2",
-        _scalar(_need(section, "sigma_n2", "channel_distribution"), "channel_distribution.sigma_n2"),
-    )
-    return count, sigma_n2
-
-
-def _parse_samples(cfg):
-    return _count(_need(cfg, "n_samples", "config"), "n_samples")
+    dist = _section(cfg, "channel_distribution", ("count", "sigma_n2"))
+    count = _get(dist, "channel_distribution.count", read=_count)
+    return count, _get(dist, "channel_distribution.sigma_n2", read=units.power)
 
 
 def _point_rng(seed, index):
@@ -322,15 +294,11 @@ def _draw_channels(seed, count):
 
 def _run_gaussian_validation(cfg, units, seed, n_threads):
     hw = _build_hw(_parse_hardware(cfg, units))
-    sig0 = _parse_signal(cfg, units, need_power=False)
-    points = _grid(
-        _need(cfg, "p_x_points", "config"),
-        "p_x_points",
-        lambda v: units.power("p_x_points", v),
-    )
+    sig0 = _parse_signal(cfg)
+    points = _grid(cfg, "p_x_points", units.power)
     if points.size == 0:
         raise ConfigError("p_x_points must not be empty")
-    n = _parse_samples(cfg)
+    n = _get(cfg, "n_samples", read=_count)
     rows = []
     for k, p in enumerate(points):
         sig = SignalSpec(p_x=float(p), beta=sig0.beta, xi=sig0.xi)
@@ -350,23 +318,14 @@ def _run_gaussian_validation(cfg, units, seed, n_threads):
 
 def _run_nmse_sweep(cfg, units, seed, n_threads):
     parts = _parse_hardware(cfg, units)
-    sig0 = _parse_signal(cfg, units, need_power=False)
-    sweep = _need(cfg, "sweep", "config")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    extra = set(sweep) - {"p_x", "crosstalk2"}
-    if extra:
-        raise ConfigError("unknown sweep keys: %s" % sorted(extra))
-    p_grid = _grid(_need(sweep, "p_x", "sweep"), "sweep.p_x", lambda v: units.power("sweep.p_x", v))
-    k_grid = _grid(
-        _need(sweep, "crosstalk2", "sweep"),
-        "sweep.crosstalk2",
-        lambda v: units.ratio("sweep.crosstalk2", v),
-    )
-    n = _parse_samples(cfg)
+    sig0 = _parse_signal(cfg)
+    sweep = _section(cfg, "sweep", ("p_x", "crosstalk2"))
+    p_grid = _grid(sweep, "sweep.p_x", units.power)
+    k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)
+    n = _get(cfg, "n_samples", read=_count)
     rows = []
     for i, k2 in enumerate(k_grid):
-        hw = _build_hw(parts, kappa2_linear=float(k2))
+        hw = _build_hw(parts, kappa2=float(k2))
         for j, p in enumerate(p_grid):
             sig = SignalSpec(p_x=float(p), beta=sig0.beta, xi=sig0.xi)
             rep = nmse_branches(hw, sig)
@@ -389,23 +348,14 @@ def _run_nmse_sweep(cfg, units, seed, n_threads):
 
 def _run_backoff_vs_gain(cfg, units, seed, n_threads):
     parts = _parse_hardware(cfg, units)
-    sig0 = _parse_signal(cfg, units, need_power=False)
-    sweep = _need(cfg, "sweep", "config")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    extra = set(sweep) - {"gain2", "crosstalk2"}
-    if extra:
-        raise ConfigError("unknown sweep keys: %s" % sorted(extra))
-    g_grid = _grid(_need(sweep, "gain2", "sweep"), "sweep.gain2", lambda v: units.ratio("sweep.gain2", v))
-    k_grid = _grid(
-        _need(sweep, "crosstalk2", "sweep"),
-        "sweep.crosstalk2",
-        lambda v: units.ratio("sweep.crosstalk2", v),
-    )
+    sig0 = _parse_signal(cfg)
+    sweep = _section(cfg, "sweep", ("gain2", "crosstalk2"))
+    g_grid = _grid(sweep, "sweep.gain2", units.ratio)
+    k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)
     rows = []
     for k2 in k_grid:
         for g2 in g_grid:
-            hw = _build_hw(parts, kappa2_linear=float(k2), gain2_linear=float(g2))
+            hw = _build_hw(parts, kappa2=float(k2), gain2=float(g2))
             sol = minmax_backoff(hw, sig0)
             rows.append([
                 linear_to_db(g2),
@@ -419,25 +369,33 @@ def _run_backoff_vs_gain(cfg, units, seed, n_threads):
     return names, col_units, rows, {}
 
 
-def _channel_for_single(cfg, units, seed):
-    if "channel" in cfg:
-        return _parse_channel(cfg, units)
-    count, sigma_n2 = _parse_channel_distribution(cfg, units)
-    if count != 1:
-        raise ConfigError("single-channel experiments need channel_distribution.count = 1")
-    h = _draw_channels(seed, 1)[0]
-    return ChannelSpec(h=h, sigma_n2=sigma_n2)
+def _channel_for_single(cfg, units, seed) -> ChannelSpec:
+    if "channel" not in cfg:
+        count, sigma_n2 = _parse_channel_distribution(cfg, units)
+        if count != 1:
+            raise ConfigError("single-channel experiments need channel_distribution.count = 1")
+        return ChannelSpec(h=_draw_channels(seed, 1)[0], sigma_n2=sigma_n2)
+    ch = _section(cfg, "channel", ("h", "sigma_n2"))
+    h_raw = _get(ch, "channel.h")
+    if not isinstance(h_raw, (list, tuple)) or len(h_raw) < 1:
+        raise ConfigError("channel.h must be a list of [re, im] pairs")
+    h = np.array([complex(*_pair(entry, "channel.h entry")) for entry in h_raw])
+    sigma_n2 = _get(ch, "channel.sigma_n2", read=units.power)
+    try:
+        return ChannelSpec(h=h, sigma_n2=sigma_n2)
+    except ValueError as exc:
+        raise ConfigError("invalid channel: %s" % exc) from exc
+
+
+def _optimum_meta(prefix, sol):
+    return {prefix + "_se": sol.se, prefix + "_p_x_dbm": float(watt_to_dbm(sol.p_x))}
 
 
 def _run_se_perturbation(cfg, units, seed, n_threads):
     hw = _build_hw(_parse_hardware(cfg, units))
     channel = _channel_for_single(cfg, units, seed)
-    phase_count = _count(cfg.get("phase_count", 36), "phase_count")
-    scales = _grid(
-        cfg.get("amp_scales", {"start": 0.25, "stop": 3.0, "count": 12}),
-        "amp_scales",
-        float,
-    )
+    phase_count = _get(cfg, "phase_count", 36, _count)
+    scales = _grid(cfg, "amp_scales", _scalar, {"start": 0.25, "stop": 3.0, "count": 12})
     sol = optimal_precoder(channel, hw)
     rows = []
     for theta in np.linspace(0.0, 2.0 * np.pi, phase_count, endpoint=False):
@@ -446,24 +404,14 @@ def _run_se_perturbation(cfg, units, seed, n_threads):
         rows.append([0.0, s, perturbation_se(sol, channel, hw, amp_scale=float(s))])
     names = ["phase_shift", "amp_scale", "se"]
     col_units = ["rad", "-", "bit"]
-    meta = {
-        "optimal_se": sol.se,
-        "optimal_p_x_dbm": float(watt_to_dbm(sol.p_x)),
-        "optimal_provenance": sol.provenance,
-    }
+    meta = dict(_optimum_meta("optimal", sol), optimal_provenance=sol.provenance)
     return names, col_units, rows, meta
 
 
 def _run_se_mrt_sweep(cfg, units, seed, n_threads):
     hw = _build_hw(_parse_hardware(cfg, units))
     channel = _channel_for_single(cfg, units, seed)
-    sweep = _need(cfg, "sweep", "config")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    extra = set(sweep) - {"p_x"}
-    if extra:
-        raise ConfigError("unknown sweep keys: %s" % sorted(extra))
-    p_grid = _grid(_need(sweep, "p_x", "sweep"), "sweep.p_x", lambda v: units.power("sweep.p_x", v))
+    p_grid = _grid(_section(cfg, "sweep", ("p_x",)), "sweep.p_x", units.power)
     se_conv = mrt_ray_curve(channel, hw, p_grid)
     _, p_da, se_da = distortion_aware_curve(channel, hw)
     order = np.argsort(p_da)
@@ -472,79 +420,50 @@ def _run_se_mrt_sweep(cfg, units, seed, n_threads):
         [watt_to_dbm(p), sc, sd]
         for p, sc, sd in zip(p_grid, se_conv, se_da_on_grid)
     ]
-    opt = optimal_precoder(channel, hw)
-    conv = conventional_mrt(channel, hw)
-    aware = distortion_aware_mrt(channel, hw)
+    meta = {}
+    for prefix, design in (("optimal", optimal_precoder), ("conventional_opt", conventional_mrt),
+                           ("distortion_aware_opt", distortion_aware_mrt)):
+        meta.update(_optimum_meta(prefix, design(channel, hw)))
     names = ["p_x", "se_conventional", "se_distortion_aware"]
     col_units = ["dBm", "bit", "bit"]
-    meta = {
-        "optimal_se": opt.se,
-        "optimal_p_x_dbm": float(watt_to_dbm(opt.p_x)),
-        "conventional_opt_se": conv.se,
-        "conventional_opt_p_x_dbm": float(watt_to_dbm(conv.p_x)),
-        "distortion_aware_opt_se": aware.se,
-        "distortion_aware_opt_p_x_dbm": float(watt_to_dbm(aware.p_x)),
-    }
     return names, col_units, rows, meta
+
+
+def _design_se(hw, channels, sigma_n2):
+    """SE of the optimal, distortion-aware and conventional designs, one row per channel."""
+    se = np.empty((len(channels), 3))
+    for i, h in enumerate(channels):
+        channel = ChannelSpec(h=h, sigma_n2=sigma_n2)
+        se[i] = (
+            optimal_precoder(channel, hw).se,
+            distortion_aware_mrt(channel, hw).se,
+            conventional_mrt(channel, hw).se,
+        )
+    return se
 
 
 def _run_se_average(cfg, units, seed, n_threads):
     hw = _build_hw(_parse_hardware(cfg, units))
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
-    channels = _draw_channels(seed, count)
-    rows = []
-    for i in range(count):
-        channel = ChannelSpec(h=channels[i], sigma_n2=sigma_n2)
-        rows.append([
-            float(i),
-            optimal_precoder(channel, hw).se,
-            distortion_aware_mrt(channel, hw).se,
-            conventional_mrt(channel, hw).se,
-        ])
-    arr = np.array(rows)
+    se = _design_se(hw, _draw_channels(seed, count), sigma_n2)
+    rows = [[float(i), *row] for i, row in enumerate(se)]
     names = ["channel_index", "se_optimal", "se_distortion_aware", "se_conventional"]
     col_units = ["-", "bit", "bit", "bit"]
-    meta = {
-        "n_channels": count,
-        "mean_se_optimal": float(np.mean(arr[:, 1])),
-        "mean_se_distortion_aware": float(np.mean(arr[:, 2])),
-        "mean_se_conventional": float(np.mean(arr[:, 3])),
-    }
+    meta = {"n_channels": count}
+    for k, name in enumerate(names[1:]):
+        meta["mean_" + name] = float(np.mean(se[:, k]))
     return names, col_units, rows, meta
 
 
 def _run_se_vs_crosstalk(cfg, units, seed, n_threads):
     parts = _parse_hardware(cfg, units)
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
-    sweep = _need(cfg, "sweep", "config")
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep must be an object")
-    extra = set(sweep) - {"crosstalk2"}
-    if extra:
-        raise ConfigError("unknown sweep keys: %s" % sorted(extra))
-    k_grid = _grid(
-        _need(sweep, "crosstalk2", "sweep"),
-        "sweep.crosstalk2",
-        lambda v: units.ratio("sweep.crosstalk2", v),
-    )
+    k_grid = _grid(_section(cfg, "sweep", ("crosstalk2",)), "sweep.crosstalk2", units.ratio)
     channels = _draw_channels(seed, count)
     rows = []
     for k2 in k_grid:
-        hw = _build_hw(parts, kappa2_linear=float(k2))
-        se_opt = np.empty(count)
-        se_da = np.empty(count)
-        se_conv = np.empty(count)
-        for i in range(count):
-            channel = ChannelSpec(h=channels[i], sigma_n2=sigma_n2)
-            se_opt[i] = optimal_precoder(channel, hw).se
-            se_da[i] = distortion_aware_mrt(channel, hw).se
-            se_conv[i] = conventional_mrt(channel, hw).se
-        rows.append([
-            linear_to_db(k2),
-            float(np.mean(se_opt)),
-            float(np.mean(se_da)),
-            float(np.mean(se_conv)),
-        ])
+        se = _design_se(_build_hw(parts, kappa2=float(k2)), channels, sigma_n2)
+        rows.append([linear_to_db(k2), *(float(np.mean(se[:, k])) for k in range(3))])
     names = ["crosstalk2", "mean_se_optimal", "mean_se_distortion_aware", "mean_se_conventional"]
     col_units = ["dB", "bit", "bit", "bit"]
     return names, col_units, rows, {"n_channels": count}
@@ -560,6 +479,8 @@ _RUNNERS = {
     "se-vs-crosstalk": (_run_se_vs_crosstalk, {"hardware", "channel_distribution", "sweep"}),
 }
 
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
 _COMMON_KEYS = {"experiment", "seed", "units", "output", "format"}
 
 
@@ -568,19 +489,16 @@ def run_experiment(config: dict, n_threads: int = 1, seed_override=None) -> Resu
     if not isinstance(config, dict):
         raise ConfigError("config must be an object")
     kind = config.get("experiment")
-    if kind not in _RUNNERS:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
         raise ConfigError(
             "unknown experiment %r; expected one of %s" % (kind, list(EXPERIMENT_KINDS))
         )
     runner, allowed = _RUNNERS[kind]
-    extra = set(config) - allowed - _COMMON_KEYS
-    if extra:
-        raise ConfigError("unknown config keys: %s" % sorted(extra))
+    _object(config, allowed | _COMMON_KEYS, "config")
     seed = config.get("seed", 0) if seed_override is None else seed_override
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a non-negative integer")
-    if not isinstance(n_threads, int) or n_threads < 1:
-        raise ConfigError("thread count must be a positive integer")
+    _count(n_threads, "thread count")
     units = _Units(config.get("units"))
     names, col_units, rows, extra_meta = runner(config, units, seed, n_threads)
     metadata = {

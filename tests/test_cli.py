@@ -110,9 +110,14 @@ class TestRunCommand:
 
 
 class TestExitCodes:
-    def test_config_error_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "raw",
+        [b"{", b'{"experiment": "se-average", "x": "\xe9"}'],
+        ids=["invalid-json", "non-utf8"],
+    )
+    def test_config_error_exits_two(self, tmp_path, capsys, raw):
         bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
+        bad.write_bytes(raw)
         assert main(["run", str(bad)]) == 2
         assert "config error" in capsys.readouterr().err
 
@@ -133,8 +138,27 @@ class TestExitCodes:
             {"sweep": {"gain2": {"start": 25.0, "stop": 30.0, "count": True}, "crosstalk2": [-50.0]}},
             # The sweep replaces this crosstalk, so only parsing can catch it.
             {"hardware": dict(HW_BLOCK, crosstalk2=[float("nan"), -50.0])},
+            {"experiment": ["backoff-vs-gain"]},
+            {"units": dict(UNITS, **{"hardware.noise": ["dBm"]})},
+            # An empty sweep builds no hardware, so parsing must catch this one.
+            {
+                "hardware": dict(HW_BLOCK, gain2=[-1.0, 1000.0]),
+                "units": dict(UNITS, **{"hardware.gain2": "linear"}),
+                "sweep": {"gain2": [], "crosstalk2": [-50.0]},
+            },
+            # The square root of a negative sweep crosstalk is NaN.
+            {
+                "experiment": "nmse-sweep",
+                "units": dict(UNITS, **{"sweep.p_x": "dBm", "sweep.crosstalk2": "linear"}),
+                "sweep": {"p_x": [-10.0], "crosstalk2": [-1e-6]},
+                "n_samples": 200,
+            },
+            # A misspelled unit path would leave the 30 dB gains read as linear.
+            {"units": dict({k: v for k, v in UNITS.items() if k != "hardware.gain2"},
+                           **{"hardware.gain": "dB"})},
         ],
-        ids=["string", "nan", "infinity", "bool-count", "nan-overridden"],
+        ids=["string", "nan", "infinity", "bool-count", "nan-overridden", "experiment-list",
+             "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path"],
     )
     def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -153,8 +177,15 @@ class TestListExperiments:
     def test_prints_all_kinds_in_order(self, capsys):
         assert main(["list-experiments"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert out == list(EXPERIMENT_KINDS)
-        assert len(out) == 7
+        assert tuple(out) == EXPERIMENT_KINDS == (
+            "gaussian-validation",
+            "nmse-sweep",
+            "backoff-vs-gain",
+            "se-perturbation",
+            "se-mrt-sweep",
+            "se-average",
+            "se-vs-crosstalk",
+        )
 
 
 class TestInstalledScript:

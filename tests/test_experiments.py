@@ -119,6 +119,8 @@ class TestConfigPlumbing:
             run_experiment(dict(base, seed=True))
         with pytest.raises(ConfigError):
             run_experiment(base, n_threads=0)
+        with pytest.raises(ConfigError):
+            run_experiment(base, n_threads=True)
 
     def test_invalid_hardware_is_a_config_error(self):
         cfg = {
