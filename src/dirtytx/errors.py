@@ -21,10 +21,6 @@ class SingularCouplingError(NumericalError):
     """The linearized input coupling matrix is numerically singular."""
 
 
-class FeedbackDivergenceError(NumericalError):
-    """The linear feedback loop gain is outside its stability region."""
-
-
 class RootStructureError(NumericalError):
     """A polynomial expected to have exactly one positive root does not."""
 

@@ -4,8 +4,7 @@ Configs are JSON objects.  Every dB or dBm quantity must be declared in
 the config's ``units`` block and is converted exactly once while
 parsing; all computation downstream happens in watts and linear ratios.
 Randomness is derived from the config seed through named spawn streams,
-so adding sweep points or changing thread counts never perturbs the
-draws of existing points.
+so adding sweep points never perturbs the draws of existing points.
 
 Results come back as a :class:`ResultTable` that serializes to CSV or
 JSON with byte-stable output for a fixed (config, seed, version).
@@ -16,12 +15,13 @@ import hashlib
 import io
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .model import HardwareConfig, SignalSpec, build_model
+from .model import HardwareConfig, ModelValidityWarning, SignalSpec, build_model
 from .montecarlo import (
     covariance_mismatch,
     empirical_cdf_distance,
@@ -234,13 +234,19 @@ def _parse_hardware(cfg, units):
         _pair(_get(hw, path), path, units.ratio)
         for path in ("hardware.gain2", "hardware.crosstalk2")
     )
-    return {
+    parts = {
         "gamma": _magnitudes(gain2),
         "kappa_abs": _magnitudes(kappa2),
         "kappa_phase": _get(hw, "hardware.crosstalk_phase", [0.0, 0.0], _pair),
         "rho": tuple(_get(hw, "hardware.rho", read=_pair)),
         "sigma_w2": _get(hw, "hardware.noise", read=units.power),
     }
+    # Checked here because an empty sweep builds no hardware at all; a
+    # block that the sweep overrides is not worth a validity warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelValidityWarning)
+        _build_hw(parts)
+    return parts
 
 
 def _build_hw(parts, kappa2=None, gain2=None) -> HardwareConfig:
@@ -292,7 +298,7 @@ def _draw_channels(seed, count):
     return (rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))) / np.sqrt(2.0)
 
 
-def _run_gaussian_validation(cfg, units, seed, n_threads):
+def _run_gaussian_validation(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units))
     sig0 = _parse_signal(cfg)
     points = _grid(cfg, "p_x_points", units.power)
@@ -302,7 +308,7 @@ def _run_gaussian_validation(cfg, units, seed, n_threads):
     rows = []
     for k, p in enumerate(points):
         sig = SignalSpec(p_x=float(p), beta=sig0.beta, xi=sig0.xi)
-        batch = simulate_batch(hw, sig, n, _point_rng(seed, k), n_threads=n_threads)
+        batch = simulate_batch(hw, sig, n, _point_rng(seed, k))
         model = build_model(hw, sig)
         ks = empirical_cdf_distance(batch, model)
         rows.append([
@@ -316,7 +322,7 @@ def _run_gaussian_validation(cfg, units, seed, n_threads):
     return names, col_units, rows, {"n_samples": n}
 
 
-def _run_nmse_sweep(cfg, units, seed, n_threads):
+def _run_nmse_sweep(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
     sig0 = _parse_signal(cfg)
     sweep = _section(cfg, "sweep", ("p_x", "crosstalk2"))
@@ -329,7 +335,7 @@ def _run_nmse_sweep(cfg, units, seed, n_threads):
         for j, p in enumerate(p_grid):
             sig = SignalSpec(p_x=float(p), beta=sig0.beta, xi=sig0.xi)
             rep = nmse_branches(hw, sig)
-            batch = simulate_batch(hw, sig, n, _point_rng(seed, i * p_grid.size + j), n_threads=n_threads)
+            batch = simulate_batch(hw, sig, n, _point_rng(seed, i * p_grid.size + j))
             emp1, emp2 = empirical_nmse(batch, hw, sig)
             rows.append([
                 linear_to_db(k2),
@@ -346,7 +352,7 @@ def _run_nmse_sweep(cfg, units, seed, n_threads):
     return names, col_units, rows, {"n_samples": n}
 
 
-def _run_backoff_vs_gain(cfg, units, seed, n_threads):
+def _run_backoff_vs_gain(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
     sig0 = _parse_signal(cfg)
     sweep = _section(cfg, "sweep", ("gain2", "crosstalk2"))
@@ -370,6 +376,8 @@ def _run_backoff_vs_gain(cfg, units, seed, n_threads):
 
 
 def _channel_for_single(cfg, units, seed) -> ChannelSpec:
+    if "channel" in cfg and "channel_distribution" in cfg:
+        raise ConfigError("set channel or channel_distribution, not both")
     if "channel" not in cfg:
         count, sigma_n2 = _parse_channel_distribution(cfg, units)
         if count != 1:
@@ -391,7 +399,7 @@ def _optimum_meta(prefix, sol):
     return {prefix + "_se": sol.se, prefix + "_p_x_dbm": float(watt_to_dbm(sol.p_x))}
 
 
-def _run_se_perturbation(cfg, units, seed, n_threads):
+def _run_se_perturbation(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units))
     channel = _channel_for_single(cfg, units, seed)
     phase_count = _get(cfg, "phase_count", 36, _count)
@@ -408,7 +416,7 @@ def _run_se_perturbation(cfg, units, seed, n_threads):
     return names, col_units, rows, meta
 
 
-def _run_se_mrt_sweep(cfg, units, seed, n_threads):
+def _run_se_mrt_sweep(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units))
     channel = _channel_for_single(cfg, units, seed)
     p_grid = _grid(_section(cfg, "sweep", ("p_x",)), "sweep.p_x", units.power)
@@ -442,7 +450,7 @@ def _design_se(hw, channels, sigma_n2):
     return se
 
 
-def _run_se_average(cfg, units, seed, n_threads):
+def _run_se_average(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units))
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
     se = _design_se(hw, _draw_channels(seed, count), sigma_n2)
@@ -455,7 +463,7 @@ def _run_se_average(cfg, units, seed, n_threads):
     return names, col_units, rows, meta
 
 
-def _run_se_vs_crosstalk(cfg, units, seed, n_threads):
+def _run_se_vs_crosstalk(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
     k_grid = _grid(_section(cfg, "sweep", ("crosstalk2",)), "sweep.crosstalk2", units.ratio)
@@ -485,7 +493,11 @@ _COMMON_KEYS = {"experiment", "seed", "units", "output", "format"}
 
 
 def run_experiment(config: dict, n_threads: int = 1, seed_override=None) -> ResultTable:
-    """Run one experiment described by a parsed JSON config object."""
+    """Run one experiment described by a parsed JSON config object.
+
+    ``n_threads`` is checked but has no effect: Monte-Carlo chunks are
+    solved one after another.
+    """
     if not isinstance(config, dict):
         raise ConfigError("config must be an object")
     kind = config.get("experiment")
@@ -500,7 +512,7 @@ def run_experiment(config: dict, n_threads: int = 1, seed_override=None) -> Resu
         raise ConfigError("seed must be a non-negative integer")
     _count(n_threads, "thread count")
     units = _Units(config.get("units"))
-    names, col_units, rows, extra_meta = runner(config, units, seed, n_threads)
+    names, col_units, rows, extra_meta = runner(config, units, seed)
     metadata = {
         "experiment": kind,
         "config_sha256": config_digest(config),

@@ -11,7 +11,9 @@ scalar SNDR form of the precoding layer against the Bussgang matrix
 statistics rather than against an independent derivation.  The
 symmetric distortion-free pair (:func:`effective_linear_gain`,
 :func:`linear_output_covariance`) is a closed-loop reference for the
-coupling model.
+coupling model.  :func:`sample_inputs` and :func:`solve_feedback`
+expose the Monte-Carlo core's input draw and feedback solver one step
+at a time, so tests can check each on its own.
 """
 
 import warnings
@@ -27,9 +29,33 @@ from dirtytx import (
     distortion_covariance,
     nmse_branches,
 )
-from dirtytx.errors import FeedbackDivergenceError
+from dirtytx.montecarlo import _draw_inputs, _solve_chunk
+
+
+class FeedbackDivergenceError(ValueError):
+    """The linear feedback loop gain is outside its stability region."""
+
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def sample_inputs(sig: SignalSpec, n: int, seed) -> np.ndarray:
+    """``n`` circular Gaussian input pairs with the covariance of ``sig``."""
+    return _draw_inputs(sig.covariance(), n, np.random.default_rng(seed))
+
+
+def solve_feedback(x, hw: HardwareConfig):
+    """Exact internal signal(s) for input ``x`` (one pair or an (n, 2) batch).
+
+    Returns ``(u, converged)`` with shapes matching the input layout.
+    """
+    arr = np.atleast_2d(np.asarray(x, dtype=complex))
+    u, converged = _solve_chunk(
+        arr, hw.gain_vector, hw.feedback_matrix, hw.rho_vector, coupling_matrix(hw)
+    )
+    if np.ndim(x) == 1:
+        return u[0], bool(converged[0])
+    return u, converged
 
 
 def golden_section_min(fun, lo, hi, iters=200):

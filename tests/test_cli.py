@@ -23,9 +23,11 @@ UNITS = {
     "sweep.gain2": "dB",
     "sweep.crosstalk2": "dB",
 }
+CHANNEL = {"h": [[1.0, 0.0], [0.5, 0.5]], "sigma_n2": 1e-3}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
+    """A backoff-vs-gain config with ``overrides``; a None value drops the key."""
     cfg = {
         "experiment": "backoff-vs-gain",
         "seed": 9,
@@ -35,6 +37,7 @@ def write_config(tmp_path, name="config.json", **overrides):
         "sweep": {"gain2": [25.0, 30.0], "crosstalk2": [-50.0]},
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}
     path = tmp_path / name
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
@@ -156,9 +159,23 @@ class TestExitCodes:
             # A misspelled unit path would leave the 30 dB gains read as linear.
             {"units": dict({k: v for k, v in UNITS.items() if k != "hardware.gain2"},
                            **{"hardware.gain": "dB"})},
+            # Empty sweeps build no hardware, so parsing must reject the rho.
+            {"hardware": dict(HW_BLOCK, rho=[0.025, -0.025]),
+             "sweep": {"gain2": [], "crosstalk2": [-50.0]}},
+            {"experiment": "se-vs-crosstalk", "signal": None,
+             "hardware": dict(HW_BLOCK, rho=[0.025, -0.025]),
+             "channel_distribution": {"count": 2, "sigma_n2": 1e-3},
+             "sweep": {"crosstalk2": []}},
+            # A given channel leaves the distribution unread.
+            {"experiment": "se-perturbation", "signal": None, "sweep": None,
+             "channel": CHANNEL, "channel_distribution": {"count": "bogus"}},
+            {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
+             "channel": CHANNEL, "channel_distribution": {"count": "bogus"}},
         ],
         ids=["string", "nan", "infinity", "bool-count", "nan-overridden", "experiment-list",
-             "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path"],
+             "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path",
+             "positive-rho-empty-gain-sweep", "positive-rho-empty-crosstalk-sweep",
+             "channel-and-distribution-perturbation", "channel-and-distribution-mrt-sweep"],
     )
     def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from dirtytx import (
     BussgangGainWarning,
-    FeedbackDivergenceError,
     HardwareConfig,
     ModelValidityWarning,
     SignalSpec,
@@ -24,7 +23,7 @@ from dirtytx import (
     unit_internal_covariance,
     watt_to_dbm,
 )
-from oracles import effective_linear_gain, linear_output_covariance
+from oracles import FeedbackDivergenceError, effective_linear_gain, linear_output_covariance
 
 
 def random_psd(rng, n=2):
