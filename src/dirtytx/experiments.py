@@ -280,7 +280,10 @@ def _parse_signal(cfg):
 def _parse_channel_distribution(cfg, units):
     dist = _section(cfg, "channel_distribution", ("count", "sigma_n2"))
     count = _get(dist, "channel_distribution.count", read=_count)
-    return count, _get(dist, "channel_distribution.sigma_n2", read=units.power)
+    sigma_n2 = _get(dist, "channel_distribution.sigma_n2", read=units.power)
+    if not sigma_n2 > 0:
+        raise ConfigError("channel_distribution.sigma_n2 must be positive")
+    return count, sigma_n2
 
 
 def _point_rng(seed, index):
@@ -385,8 +388,8 @@ def _channel_for_single(cfg, units, seed) -> ChannelSpec:
         return ChannelSpec(h=_draw_channels(seed, 1)[0], sigma_n2=sigma_n2)
     ch = _section(cfg, "channel", ("h", "sigma_n2"))
     h_raw = _get(ch, "channel.h")
-    if not isinstance(h_raw, (list, tuple)) or len(h_raw) < 1:
-        raise ConfigError("channel.h must be a list of [re, im] pairs")
+    if not isinstance(h_raw, (list, tuple)) or len(h_raw) != 2:
+        raise ConfigError("channel.h must be a list of two [re, im] pairs")
     h = np.array([complex(*_pair(entry, "channel.h entry")) for entry in h_raw])
     sigma_n2 = _get(ch, "channel.sigma_n2", read=units.power)
     try:

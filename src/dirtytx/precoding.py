@@ -23,7 +23,6 @@ from .polyroots import real_roots, unique_positive_root
 
 __all__ = [
     "ChannelSpec",
-    "EffectiveNoise",
     "PrecoderSolution",
     "sndr",
     "achievable_se",
@@ -40,6 +39,12 @@ __all__ = [
 # sensible operating region of the linearized model.
 _GAIN_TOL = 1e-12
 _TIE_REL = 1e-12
+# Provenance tags of optimal_precoder's candidates, in scoring order.
+_CANDIDATES = (
+    "b2_saturation", "b2_stationary", "b1_saturation", "b1_stationary",
+    "joint_saturation_aligned", "joint_stationary_aligned",
+    "joint_saturation_opposed", "joint_stationary_opposed",
+)
 
 
 @dataclass(frozen=True)
@@ -67,34 +72,6 @@ class ChannelSpec:
 
 
 @dataclass(frozen=True)
-class EffectiveNoise:
-    """Constants of the scalar SNDR form.
-
-    ``h_tilde[l] = 2 h[l] rho[l]`` weighs the cubic distortion of branch
-    ``l`` at the receiver, and ``sigma2 = 2 sigma_w2 ||h||^2 +
-    2 sigma_n2`` is the combined noise floor of that form.
-    """
-
-    h_tilde: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        if not self.sigma2 > 0:
-            raise ValueError("effective noise variance must be positive")
-
-    @classmethod
-    def from_parts(cls, h, rho, sigma_w2, sigma_n2) -> "EffectiveNoise":
-        h = np.asarray(h, dtype=complex)
-        rho = np.asarray(rho, dtype=float)
-        sigma2 = 2.0 * sigma_w2 * float(np.vdot(h, h).real) + 2.0 * sigma_n2
-        return cls(h_tilde=2.0 * h * rho, sigma2=sigma2)
-
-    @classmethod
-    def from_channel(cls, channel: ChannelSpec, hw: HardwareConfig) -> "EffectiveNoise":
-        return cls.from_parts(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
-
-
-@dataclass(frozen=True)
 class PrecoderSolution:
     """A precoder with its post-combining performance.
 
@@ -119,27 +96,28 @@ class PrecoderSolution:
         return float(abs(self.c[0]) ** 2)
 
 
-def _sndr_value(c_eff, h, h_tilde, sigma2) -> float:
+def _noise_terms(h, rho, sigma_w2, sigma_n2):
+    """Constants ``(h_tilde, sigma2)`` of the scalar SNDR form.
+
+    ``h_tilde[l] = 2 h[l] rho[l]`` weighs the cubic distortion of branch
+    ``l`` at the receiver, and ``sigma2 = 2 sigma_w2 ||h||^2 +
+    2 sigma_n2`` is the combined noise floor of that form.
+    """
+    return 2.0 * h * rho, 2.0 * sigma_w2 * float(np.vdot(h, h).real) + 2.0 * sigma_n2
+
+
+def _sndr(c_eff, h, h_tilde, sigma2):
+    """Scalar-form SNDR of one effective precoder, or of each row of a stack."""
     cubic = np.abs(c_eff) ** 2 * c_eff
-    lin = np.dot(h, c_eff)
-    dist = np.dot(h_tilde, cubic)
-    num = 2.0 * abs(lin + dist) ** 2
-    den = abs(dist) ** 2 + sigma2
-    return float(num / den)
-
-
-def _sndr_batch(c_eff_rows: np.ndarray, h, h_tilde, sigma2) -> np.ndarray:
-    """Scalar-form SNDR for each row of effective precoders."""
-    cubic = np.abs(c_eff_rows) ** 2 * c_eff_rows
-    lin = c_eff_rows @ h
+    lin = c_eff @ h
     dist = cubic @ h_tilde
     return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2)
 
 
 def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
     """Scalar-form SNDR of an effective precoder ``c_eff = Q c``."""
-    en = EffectiveNoise.from_channel(channel, hw)
-    return _sndr_value(np.asarray(c_eff, dtype=complex), channel.h, en.h_tilde, en.sigma2)
+    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
+    return float(_sndr(np.asarray(c_eff, dtype=complex), channel.h, h_tilde, sigma2))
 
 
 def achievable_se(sndr_value: float) -> float:
@@ -161,7 +139,7 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
             BussgangGainWarning,
             stacklevel=3,
         )
-    s = _sndr_value(c_eff, h, h_tilde, sigma2)
+    s = float(_sndr(c_eff, h, h_tilde, sigma2))
     return PrecoderSolution(
         c_eff=c_eff,
         c=c,
@@ -188,13 +166,21 @@ def _amp_cubic_root(gain2: float, rho_l: float, sigma2: float) -> float:
 def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
     """SE-maximizing precoder for the two-branch transmitter.
 
-    The SNDR is evaluated on a finite candidate set: each branch alone
-    at its amplitude stationary point and at saturation, and, for both
-    relative phases (receiver contributions aligned or opposed), the
-    joint stationary point on the ray ``|c_eff,2| = tau |c_eff,1|`` with
-    ``tau = sqrt(rho_1 / rho_2)`` and the ray's end, where both branches
-    sit at saturation.  The best candidate is returned; equal-SE ties
-    resolve toward the smaller effective power.
+    The SNDR is evaluated on eight candidates, in the order of their
+    provenance tags: each branch alone at saturation
+    ``sat_l = 1/sqrt(2|rho_l|)`` and at its amplitude stationary point
+    (``b2_*``, then ``b1_*``), and, for receiver contributions aligned
+    and then opposed, the ray ``|c_eff,2| = tau |c_eff,1|`` with
+    ``tau = sqrt(rho_1 / rho_2)`` at its end, where both branches sit at
+    saturation, and at its stationary point (``joint_*``).  A stationary
+    amplitude ``r`` solves ``2 g^2 r^6 + 6 |rho| sigma2 r^2 - sigma2 = 0``,
+    where ``g`` weighs the direction's distortion at the receiver:
+    ``|h_tilde_l|`` for branch ``l`` alone, ``|h_tilde_1| +- tau^3
+    |h_tilde_2|`` on the ray, with ``rho = rho_1``.  The cubic in ``r^2``
+    is increasing and non-negative at ``sat^2 / 3``, so ``r <= sat /
+    sqrt(3)`` and no two candidates coincide.  The best candidate is
+    returned; SE ties within 1e-12 go to the smaller effective power,
+    then to the earlier candidate.
 
     Edge stationary points, where one branch is pinned at saturation and
     the other amplitude is free, are not among the candidates.  On the
@@ -209,71 +195,42 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
         raise ValueError("both branches must be strictly compressive")
 
     h = channel.h
-    en = EffectiveNoise.from_channel(channel, hw)
-    sigma2 = en.sigma2
-    ht_abs = np.abs(en.h_tilde)
-    q = coupling_matrix(hw)
-    rho = hw.rho_vector
+    h_tilde, sigma2 = _noise_terms(h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
+    g1, g2 = np.abs(h_tilde)
 
     # Relative phase that aligns both branches at the receiver; the
     # second entry of c_eff is kept real non-negative as the gauge.
     w = np.conj(h[0]) * h[1]
-    chi_aligned = np.exp(1j * np.angle(w)) if w != 0 else 1.0 + 0.0j
+    chi = np.exp(1j * np.angle(w)) if w != 0 else 1.0 + 0.0j
     tau = np.sqrt(abs(r1) / abs(r2))
-
     sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
     sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
+    amp2 = _amp_cubic_root(g2 ** 2, r2, sigma2)
+    amp1 = _amp_cubic_root(g1 ** 2, r1, sigma2)
+    g_al = g1 + tau ** 3 * g2
+    g_op = g1 - tau ** 3 * g2
+    amp_al = _amp_cubic_root(g_al * g_al, r1, sigma2)
+    amp_op = _amp_cubic_root(g_op * g_op, r1, sigma2)
+    cand = np.array([
+        [0.0, sat2],
+        [0.0, amp2],
+        [sat1 * chi, 0.0],
+        [amp1 * chi, 0.0],
+        [sat1 * chi, tau * sat1],
+        [amp_al * chi, tau * amp_al],
+        [sat1 * -chi, tau * sat1],
+        [amp_op * -chi, tau * amp_op],
+    ], dtype=complex)
 
-    cand: list[tuple[str, np.ndarray]] = []
-
-    cand.append(("b2_saturation", np.array([0.0, sat2], dtype=complex)))
-    cand.append((
-        "b2_stationary",
-        np.array([0.0, _amp_cubic_root(ht_abs[1] ** 2, r2, sigma2)], dtype=complex),
-    ))
-    cand.append(("b1_saturation", np.array([sat1 * chi_aligned, 0.0])))
-    cand.append((
-        "b1_stationary",
-        np.array([_amp_cubic_root(ht_abs[0] ** 2, r1, sigma2) * chi_aligned, 0.0]),
-    ))
-
-    for phase_tag, sign in (("aligned", 1.0), ("opposed", -1.0)):
-        chi = sign * chi_aligned
-        cand.append((
-            "joint_saturation_" + phase_tag,
-            np.array([sat1 * chi, tau * sat1], dtype=complex),
-        ))
-        gain = ht_abs[0] + sign * tau ** 3 * ht_abs[1]
-        amp1 = _amp_cubic_root(gain * gain, r1, sigma2)
-        cand.append((
-            "joint_stationary_" + phase_tag,
-            np.array([amp1 * chi, tau * amp1], dtype=complex),
-        ))
-
-    # Collapse duplicated candidates, keeping every matching tag in the
-    # provenance of the survivor.
-    unique: list[tuple[str, np.ndarray]] = []
-    for tag, vec in cand:
-        for i, (utag, uvec) in enumerate(unique):
-            if np.allclose(vec, uvec, rtol=0, atol=1e-12 * (1.0 + np.linalg.norm(uvec))):
-                unique[i] = (utag + "+" + tag, uvec)
-                break
-        else:
-            unique.append((tag, vec))
-
-    scored = []
-    for tag, vec in unique:
-        s = _sndr_value(vec, h, en.h_tilde, sigma2)
-        if np.isfinite(s):
-            scored.append((s, tag, vec))
-    if not scored:
+    s = _sndr(cand, h, h_tilde, sigma2)
+    finite = np.isfinite(s)
+    if not finite.any():
         raise NoFiniteOptimumError("no candidate produced a finite SNDR")
-
-    best = max(s for s, _, _ in scored)
-    top = [(np.linalg.norm(vec), s, tag, vec) for s, tag, vec in scored
-           if s >= best - _TIE_REL * max(1.0, best)]
-    _, s_sel, tag_sel, vec_sel = min(top, key=lambda item: item[0])
-    return _finalize(vec_sel, q, h, en.h_tilde, sigma2, rho, tag_sel)
+    best = s[finite].max()
+    top = np.flatnonzero(finite & (s >= best - _TIE_REL * max(1.0, best)))
+    pick = top[np.argmin(np.linalg.norm(cand[top], axis=1))]
+    return _finalize(cand[pick], coupling_matrix(hw), h, h_tilde, sigma2, hw.rho_vector,
+                     _CANDIDATES[pick])
 
 
 def perturbation_se(
@@ -291,8 +248,8 @@ def perturbation_se(
     """
     c_eff = solution.c_eff.copy()
     c_eff[0] = c_eff[0] * amp_scale * np.exp(1j * phase_shift)
-    en = EffectiveNoise.from_channel(channel, hw)
-    return achievable_se(_sndr_value(c_eff, channel.h, en.h_tilde, en.sigma2))
+    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
+    return achievable_se(float(_sndr(c_eff, channel.h, h_tilde, sigma2)))
 
 
 def _mrt_direction(q: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -305,10 +262,10 @@ def _mrt_direction(q: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _conventional_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
-    en = EffectiveNoise.from_parts(h, rho, sigma_w2, sigma_n2)
+    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
     c_hat = _mrt_direction(q, h)
     k0 = np.dot(h, c_hat)
-    k1 = np.dot(en.h_tilde, np.abs(c_hat) ** 2 * c_hat)
+    k1 = np.dot(h_tilde, np.abs(c_hat) ** 2 * c_hat)
     if abs(k1) == 0:
         raise BoundaryEvaluationError(
             "matched-filter ray carries no distortion; the ray SNDR has no interior maximum"
@@ -317,29 +274,18 @@ def _conventional_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
     quartic = np.array([
         2.0 * abs(k1) ** 2 * wre,
         2.0 * abs(k1) ** 2 * abs(k0) ** 2,
-        -3.0 * abs(k1) ** 2 * en.sigma2,
-        -4.0 * wre * en.sigma2,
-        -abs(k0) ** 2 * en.sigma2,
+        -3.0 * abs(k1) ** 2 * sigma2,
+        -4.0 * wre * sigma2,
+        -abs(k0) ** 2 * sigma2,
     ])
     powers = real_roots(quartic).positive_roots
     if powers.size == 0:
         raise BoundaryEvaluationError(
             "matched-filter ray SNDR has no interior stationary point"
         )
-    best_p, best_s = None, -np.inf
-    for p in powers:
-        s = _sndr_value(np.sqrt(p) * c_hat, h, en.h_tilde, en.sigma2)
-        if s > best_s:
-            best_p, best_s = p, s
-    return _finalize(
-        np.sqrt(best_p) * c_hat,
-        q,
-        h,
-        en.h_tilde,
-        en.sigma2,
-        np.asarray(rho, dtype=float),
-        "conv_mrt[p=%.6g]" % best_p,
-    )
+    rows = np.sqrt(powers)[:, None] * c_hat
+    best = int(np.argmax(_sndr(rows, h, h_tilde, sigma2)))
+    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "conv_mrt[p=%.6g]" % powers[best])
 
 
 def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
@@ -405,19 +351,10 @@ def default_eta_grid(h: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarra
 
 
 def _da_mrt_engine(q, h, rho, sigma_w2, sigma_n2, eta_grid) -> PrecoderSolution:
-    en = EffectiveNoise.from_parts(h, rho, sigma_w2, sigma_n2)
-    rows = _da_mrt_rows(h, np.asarray(rho, dtype=float), eta_grid)
-    sndrs = _sndr_batch(rows, h, en.h_tilde, en.sigma2)
-    best = int(np.argmax(sndrs))
-    return _finalize(
-        rows[best],
-        q,
-        h,
-        en.h_tilde,
-        en.sigma2,
-        np.asarray(rho, dtype=float),
-        "da_mrt[eta=%.6g]" % eta_grid[best],
-    )
+    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
+    rows = _da_mrt_rows(h, rho, eta_grid)
+    best = int(np.argmax(_sndr(rows, h, h_tilde, sigma2)))
+    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % eta_grid[best])
 
 
 def distortion_aware_mrt(
@@ -450,11 +387,11 @@ def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     """
     q = coupling_matrix(hw)
     eta_grid = default_eta_grid(channel.h, q, hw.rho_vector)
-    en = EffectiveNoise.from_channel(channel, hw)
+    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
     rows = _da_mrt_rows(channel.h, hw.rho_vector, eta_grid)
     c_rows = np.linalg.solve(q, rows.T).T
     p_x = np.abs(c_rows[:, 0]) ** 2
-    se = np.log2(1.0 + _sndr_batch(rows, channel.h, en.h_tilde, en.sigma2))
+    se = np.log2(1.0 + _sndr(rows, channel.h, h_tilde, sigma2))
     return eta_grid, p_x, se
 
 
@@ -464,7 +401,7 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
     if np.any(p_grid < 0):
         raise ValueError("ray powers must be non-negative")
     q = coupling_matrix(hw)
-    en = EffectiveNoise.from_channel(channel, hw)
+    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
     c_hat = _mrt_direction(q, channel.h)
     rows = np.sqrt(p_grid)[:, None] * c_hat
-    return np.log2(1.0 + _sndr_batch(rows, channel.h, en.h_tilde, en.sigma2))
+    return np.log2(1.0 + _sndr(rows, channel.h, h_tilde, sigma2))

@@ -225,6 +225,42 @@ def se_amplitude_lattice(h, hw, sigma_n2, n=400, span=5.0, phases=(1.0, -1.0)):
     return best
 
 
+def precoder_candidates(h, hw, sigma_n2):
+    """``optimal_precoder``'s eight candidates, rebuilt from its docstring.
+
+    Each stationary amplitude is the positive root of its cubic in
+    ``r^2``, found with ``np.roots``.  Returns the candidate rows in tag
+    order, their tags, and ``(amplitude, saturation)`` for each of the
+    four stationary amplitudes.
+    """
+    h = np.asarray(h, dtype=complex)
+    r1, r2 = hw.rho
+    sigma2 = 2.0 * hw.sigma_w2 * float(np.sum(np.abs(h) ** 2)) + 2.0 * sigma_n2
+    g1, g2 = 2.0 * np.abs(h) * np.abs(hw.rho)
+    tau = np.sqrt(r1 / r2)
+    sat1, sat2 = np.sqrt(1.0 / (2.0 * np.abs(hw.rho)))
+
+    def amplitude(g, rho):
+        roots = np.roots([2.0 * g * g, 0.0, 6.0 * abs(rho) * sigma2, -sigma2])
+        s = roots[(np.abs(roots.imag) <= 1e-9 * np.abs(roots)) & (roots.real > 0)].real
+        assert s.size == 1
+        return float(np.sqrt(s[0]))
+
+    w = np.conj(h[0]) * h[1]
+    chi = np.exp(1j * np.angle(w)) if w != 0 else 1.0 + 0.0j
+    b2, b1 = amplitude(g2, r2), amplitude(g1, r1)
+    al, op = amplitude(g1 + tau ** 3 * g2, r1), amplitude(g1 - tau ** 3 * g2, r1)
+    rows = np.array([
+        [0.0, sat2], [0.0, b2], [sat1 * chi, 0.0], [b1 * chi, 0.0],
+        [sat1 * chi, tau * sat1], [al * chi, tau * al],
+        [-sat1 * chi, tau * sat1], [-op * chi, tau * op],
+    ], dtype=complex)
+    tags = ("b2_saturation", "b2_stationary", "b1_saturation", "b1_stationary",
+            "joint_saturation_aligned", "joint_stationary_aligned",
+            "joint_saturation_opposed", "joint_stationary_opposed")
+    return rows, tags, ((b2, sat2), (b1, sat1), (al, sat1), (op, sat1))
+
+
 def random_hardware(rng):
     """A random two-branch hardware draw inside the weak-crosstalk regime."""
     gain2 = rng.uniform(100.0, 2000.0, size=2)

@@ -1,13 +1,16 @@
 """Command-line interface tests: exit codes, files, determinism."""
 
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dirtytx.cli import main
+from dirtytx.cli import build_parser, main
 from dirtytx.experiments import EXPERIMENT_KINDS
 
 HW_BLOCK = {
@@ -24,6 +27,7 @@ UNITS = {
     "sweep.crosstalk2": "dB",
 }
 CHANNEL = {"h": [[1.0, 0.0], [0.5, 0.5]], "sigma_n2": 1e-3}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -171,11 +175,26 @@ class TestExitCodes:
              "channel": CHANNEL, "channel_distribution": {"count": "bogus"}},
             {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
              "channel": CHANNEL, "channel_distribution": {"count": "bogus"}},
+            # The two-branch hardware needs a two-entry channel.
+            {"experiment": "se-perturbation", "signal": None, "sweep": None,
+             "channel": dict(CHANNEL, h=[[1.0, 0.0]])},
+            {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
+             "channel": dict(CHANNEL, h=[[1.0, 0.0], [0.5, 0.5], [0.2, 0.1]])},
+            # Drawn channels need positive receiver noise.
+            {"experiment": "se-average", "signal": None, "sweep": None,
+             "channel_distribution": {"count": 2, "sigma_n2": 0.0}},
+            {"experiment": "se-vs-crosstalk", "signal": None, "sweep": {"crosstalk2": [-50.0]},
+             "channel_distribution": {"count": 2, "sigma_n2": 0.0}},
+            {"experiment": "se-perturbation", "signal": None, "sweep": None,
+             "channel_distribution": {"count": 1, "sigma_n2": 0.0}},
         ],
         ids=["string", "nan", "infinity", "bool-count", "nan-overridden", "experiment-list",
              "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path",
              "positive-rho-empty-gain-sweep", "positive-rho-empty-crosstalk-sweep",
-             "channel-and-distribution-perturbation", "channel-and-distribution-mrt-sweep"],
+             "channel-and-distribution-perturbation", "channel-and-distribution-mrt-sweep",
+             "one-entry-channel-perturbation", "three-entry-channel-mrt-sweep",
+             "zero-noise-distribution-average", "zero-noise-distribution-vs-crosstalk",
+             "zero-noise-distribution-perturbation"],
     )
     def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -223,3 +242,29 @@ class TestInstalledScript:
             main(["--version"])
         assert info.value.code == 0
         assert "dirtytx" in capsys.readouterr().out
+
+
+class TestReadme:
+    def test_examples_run(self, tmp_path):
+        blocks = re.findall(r"```(\w+)\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                            re.S)
+        tour = [body for lang, body in blocks if lang == "python"]
+        assert len(tour) == 1
+        proc = subprocess.run(
+            [sys.executable, "-c", tour[0]],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        commands = [line for lang, body in blocks if lang == "sh"
+                    for line in body.splitlines() if line.startswith("dirtytx ")]
+        assert commands
+        parser = build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(line.split()[1:])
+            except SystemExit:
+                pytest.fail("README command does not parse: " + line)

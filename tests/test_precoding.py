@@ -16,7 +16,14 @@ from dirtytx import (
     perturbation_se,
     sndr,
 )
-from oracles import random_channels, se_amplitude_lattice, sndr_direct, sndr_matrix
+from oracles import (
+    precoder_candidates,
+    random_channels,
+    random_hardware,
+    se_amplitude_lattice,
+    sndr_direct,
+    sndr_matrix,
+)
 
 
 def reference_hw(rho=(-0.025, -0.025)):
@@ -121,6 +128,28 @@ class TestOptimalPrecoder:
             best = se_amplitude_lattice(h, hw, 1.0, n=400, span=1.0, phases=(1.0,))
             assert sol.se >= best["se"] - 1e-6
             assert abs(sol.se - best["se"]) < 1e-3
+
+    def test_selection_rule_matches_rebuilt_candidates(self):
+        # Every tenth channel has a silent branch, where candidates tie
+        # exactly: the two joint stationary points with each other, and
+        # with b1_stationary when branch 2 is silent.
+        rng = np.random.default_rng(2011)
+        for k in range(200):
+            hw = random_hardware(rng)
+            h = random_channels(rng, 1)[0]
+            if k % 10 == 0:
+                h[k % 20 // 10] = 0.0
+            sigma_n2 = 10.0 ** rng.uniform(-4.0, 0.0)
+            rows, tags, stationary = precoder_candidates(h, hw, sigma_n2)
+            for amp, sat in stationary:
+                assert amp <= sat / np.sqrt(3.0) * (1.0 + 1e-12)
+            scores = [sndr_direct(row, h, hw.rho, hw.sigma_w2, sigma_n2) for row in rows]
+            best = max(scores)
+            tied = [i for i, s in enumerate(scores) if s >= best - 1e-12 * max(1.0, best)]
+            pick = min(tied, key=lambda i: np.linalg.norm(rows[i]))
+            sol = optimal_precoder(ChannelSpec(h=h, sigma_n2=sigma_n2), hw)
+            assert sol.provenance == tags[pick]
+            assert abs(sol.se - np.log2(1.0 + scores[pick])) <= 1e-12
 
     def test_silent_channel_branch_stays_off(self):
         hw = reference_hw()
