@@ -25,9 +25,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("config", help="path to the experiment config")
     run.add_argument("--out", help="output path (default: from config, else <experiment>.<format>)")
-    run.add_argument("--format", choices=("csv", "json"), help="output format (default: from config or path suffix, else csv)")
+    run.add_argument("--format", choices=("csv", "json"),
+                     help="output format (default: from config or path suffix, else csv)")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
 
     sub.add_parser("list-experiments", help="print the supported experiment kinds")
     return parser

@@ -157,13 +157,15 @@ class _Units:
                 )
 
     def power(self, value, path):
+        """A power in watt; every power the configs carry must be positive."""
         value = _scalar(value, path)
         unit = self.block.get(path, "watt")
-        if unit == "dBm":
-            return float(dbm_to_watt(value))
-        if unit == "watt":
-            return value
-        raise ConfigError("%s carries %s; expected dBm or watt" % (path, unit))
+        if unit not in ("dBm", "watt"):
+            raise ConfigError("%s carries %s; expected dBm or watt" % (path, unit))
+        watt = float(dbm_to_watt(value)) if unit == "dBm" else value
+        if not 0 < watt <= sys.float_info.max:
+            raise ConfigError("%s must be a positive power" % path)
+        return watt
 
     def ratio(self, value, path):
         value = _scalar(value, path)
@@ -228,7 +230,8 @@ def _magnitudes(squared):
     return tuple(np.sqrt(v) for v in squared)
 
 
-def _parse_hardware(cfg, units):
+def _parse_hardware(cfg, units, compressive=False):
+    """The hardware block; ``compressive`` requires both rho < 0 (the SE designs)."""
     hw = _section(cfg, "hardware", ("gain2", "crosstalk2", "crosstalk_phase", "rho", "noise"))
     gain2, kappa2 = (
         _pair(_get(hw, path), path, units.ratio)
@@ -241,6 +244,8 @@ def _parse_hardware(cfg, units):
         "rho": tuple(_get(hw, "hardware.rho", read=_pair)),
         "sigma_w2": _get(hw, "hardware.noise", read=units.power),
     }
+    if compressive and not all(r < 0 for r in parts["rho"]):
+        raise ConfigError("hardware.rho must be negative on both branches")
     # Checked here because an empty sweep builds no hardware at all; a
     # block that the sweep overrides is not worth a validity warning.
     with warnings.catch_warnings():
@@ -280,10 +285,7 @@ def _parse_signal(cfg):
 def _parse_channel_distribution(cfg, units):
     dist = _section(cfg, "channel_distribution", ("count", "sigma_n2"))
     count = _get(dist, "channel_distribution.count", read=_count)
-    sigma_n2 = _get(dist, "channel_distribution.sigma_n2", read=units.power)
-    if not sigma_n2 > 0:
-        raise ConfigError("channel_distribution.sigma_n2 must be positive")
-    return count, sigma_n2
+    return count, _get(dist, "channel_distribution.sigma_n2", read=units.power)
 
 
 def _point_rng(seed, index):
@@ -320,7 +322,8 @@ def _run_gaussian_validation(cfg, units, seed):
             ks[0, 0], ks[0, 1], ks[1, 0], ks[1, 1],
             batch.failure_rate,
         ])
-    names = ["p_x", "covariance_nmse", "ks_u1_re", "ks_u1_im", "ks_u2_re", "ks_u2_im", "failure_rate"]
+    names = ["p_x", "covariance_nmse", "ks_u1_re", "ks_u1_im", "ks_u2_re", "ks_u2_im",
+             "failure_rate"]
     col_units = ["dBm", "dB", "-", "-", "-", "-", "-"]
     return names, col_units, rows, {"n_samples": n}
 
@@ -358,6 +361,8 @@ def _run_nmse_sweep(cfg, units, seed):
 def _run_backoff_vs_gain(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
     sig0 = _parse_signal(cfg)
+    if not sig0.beta > 0:
+        raise ConfigError("the back-off needs both branches active (signal.beta > 0)")
     sweep = _section(cfg, "sweep", ("gain2", "crosstalk2"))
     g_grid = _grid(sweep, "sweep.gain2", units.ratio)
     k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)
@@ -403,7 +408,7 @@ def _optimum_meta(prefix, sol):
 
 
 def _run_se_perturbation(cfg, units, seed):
-    hw = _build_hw(_parse_hardware(cfg, units))
+    hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
     channel = _channel_for_single(cfg, units, seed)
     phase_count = _get(cfg, "phase_count", 36, _count)
     scales = _grid(cfg, "amp_scales", _scalar, {"start": 0.25, "stop": 3.0, "count": 12})
@@ -420,7 +425,7 @@ def _run_se_perturbation(cfg, units, seed):
 
 
 def _run_se_mrt_sweep(cfg, units, seed):
-    hw = _build_hw(_parse_hardware(cfg, units))
+    hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
     channel = _channel_for_single(cfg, units, seed)
     p_grid = _grid(_section(cfg, "sweep", ("p_x",)), "sweep.p_x", units.power)
     se_conv = mrt_ray_curve(channel, hw, p_grid)
@@ -454,7 +459,7 @@ def _design_se(hw, channels, sigma_n2):
 
 
 def _run_se_average(cfg, units, seed):
-    hw = _build_hw(_parse_hardware(cfg, units))
+    hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
     se = _design_se(hw, _draw_channels(seed, count), sigma_n2)
     rows = [[float(i), *row] for i, row in enumerate(se)]
@@ -467,7 +472,7 @@ def _run_se_average(cfg, units, seed):
 
 
 def _run_se_vs_crosstalk(cfg, units, seed):
-    parts = _parse_hardware(cfg, units)
+    parts = _parse_hardware(cfg, units, compressive=True)
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
     k_grid = _grid(_section(cfg, "sweep", ("crosstalk2",)), "sweep.crosstalk2", units.ratio)
     channels = _draw_channels(seed, count)
@@ -481,10 +486,12 @@ def _run_se_vs_crosstalk(cfg, units, seed):
 
 
 _RUNNERS = {
-    "gaussian-validation": (_run_gaussian_validation, {"hardware", "signal", "p_x_points", "n_samples"}),
+    "gaussian-validation": (_run_gaussian_validation,
+                            {"hardware", "signal", "p_x_points", "n_samples"}),
     "nmse-sweep": (_run_nmse_sweep, {"hardware", "signal", "sweep", "n_samples"}),
     "backoff-vs-gain": (_run_backoff_vs_gain, {"hardware", "signal", "sweep"}),
-    "se-perturbation": (_run_se_perturbation, {"hardware", "channel", "channel_distribution", "phase_count", "amp_scales"}),
+    "se-perturbation": (_run_se_perturbation, {"hardware", "channel", "channel_distribution",
+                                               "phase_count", "amp_scales"}),
     "se-mrt-sweep": (_run_se_mrt_sweep, {"hardware", "channel", "channel_distribution", "sweep"}),
     "se-average": (_run_se_average, {"hardware", "channel_distribution"}),
     "se-vs-crosstalk": (_run_se_vs_crosstalk, {"hardware", "channel_distribution", "sweep"}),

@@ -159,9 +159,7 @@ def coupling_matrix(hw: HardwareConfig) -> np.ndarray:
     scalings gives a constant 2x2 map whose off-diagonal entries carry
     the leakage of the opposite stream.
     """
-    g1, g2 = hw.gamma
-    k1, k2 = hw.kappa
-    q = np.array([[g1, g1 * k2 * g2], [g2 * k1 * g1, g2]], dtype=complex)
+    q = (np.eye(2) + hw.feedback_matrix) * hw.gain_vector
     det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
     if abs(det) < 1e-12 * np.linalg.norm(q):
         raise SingularCouplingError("coupling matrix is numerically singular")

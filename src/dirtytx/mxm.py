@@ -4,11 +4,12 @@ The two-branch closed forms all flow from matrix identities that never
 use the branch count, so the M-branch versions are assembled from the
 same pieces: a linearized coupling matrix, the Gaussian moment
 identities, and per-branch error polynomials in the reference power.
-Only the exact SE-optimal precoder stays two-branch specific (its
-candidate enumeration grows combinatorially); the matched-filter
-baselines generalize directly.  Monte-Carlo batches and their sample
-NMSE run on the same chunked, failure-guarded core as the two-branch
-simulator in :mod:`montecarlo`.
+The min-max back-off is the exact candidate solver of :mod:`nmse`, with
+no bisection.  Only the exact SE-optimal precoder stays two-branch
+specific (its candidate enumeration grows combinatorially); the
+matched-filter baselines generalize directly.  Monte-Carlo batches and
+their sample NMSE run on the same chunked, failure-guarded core as the
+two-branch simulator in :mod:`montecarlo`.
 """
 
 from dataclasses import dataclass
@@ -17,8 +18,9 @@ import numpy as np
 
 from .errors import NoFiniteOptimumError, SingularCouplingError
 from .montecarlo import SampleBatch, _empirical_nmse, _simulate
-from .polyroots import unique_positive_root
-from .precoding import ChannelSpec, PrecoderSolution, _conventional_mrt_engine, _da_mrt_engine, default_eta_grid
+from .nmse import _minmax
+from .precoding import ChannelSpec, PrecoderSolution, default_eta_grid
+from .precoding import _conventional_mrt_engine, _da_mrt_engine
 
 __all__ = [
     "HardwareConfigM",
@@ -134,16 +136,14 @@ def build_q_m(hw: HardwareConfigM, exact: bool = False) -> np.ndarray:
     two-branch analysis entry for entry.  ``exact=True`` instead inverts
     the linear feedback loop completely, which differs at second order.
     """
-    l_mat = np.diag(hw.gamma)
-    k = hw.feedback_matrix
-    if not exact:
-        return l_mat + k @ l_mat
     eye = np.eye(hw.n_branches)
-    mat = eye - k
+    if not exact:
+        return (eye + hw.feedback_matrix) * hw.gamma
+    mat = eye - hw.feedback_matrix
     cond_scale = np.linalg.norm(mat)
     if cond_scale == 0 or np.linalg.matrix_rank(mat) < hw.n_branches:
         raise SingularCouplingError("feedback loop matrix is singular")
-    return np.linalg.solve(mat, l_mat)
+    return np.linalg.solve(mat, np.diag(hw.gamma))
 
 
 def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM):
@@ -186,49 +186,17 @@ def nmse_branches_m(hw: HardwareConfigM, spec: SignalSpecM, p_x: float | None = 
 def minmax_backoff_m(hw: HardwareConfigM, spec: SignalSpecM) -> float:
     """Reference power minimizing the worst branch NMSE, any branch count.
 
-    Each branch NMSE is convex in the power, so the worst-branch
-    envelope is convex too and bisection on its one-sided slopes finds
-    the global minimum.  The bracket comes from the per-branch
-    minimizers: below the smallest every branch still improves with more
-    power, above the largest every branch degrades.
+    Branches that carry no power are left out; the rest go to the exact
+    candidate solver shared with :func:`nmse.minmax_backoff`.
     """
     if np.any(hw.rho == 0):
         raise NoFiniteOptimumError("all branches must be compressive for a finite optimum")
-    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
-    active = denom > 0
+    polys = error_polynomials_m(hw, spec)
+    active = polys[3] > 0
     if not np.any(active):
         raise ValueError("no branch carries power")
-    cubic, quadratic, denom = cubic[active], quadratic[active], denom[active]
-    linear = linear[active]
-    sw2 = hw.sigma_w2
-
-    minimizers = np.array([
-        unique_positive_root(np.array([2.0 * a, b, 0.0, -sw2]))
-        for a, b in zip(cubic, quadratic)
-    ])
-    lo, hi = minimizers.min(), minimizers.max()
-    if hi <= lo * (1.0 + 1e-15):
-        return float(lo)
-
-    def values_slopes(p):
-        vals = (cubic * p ** 3 + quadratic * p * p + linear * p + sw2) / (denom * p)
-        slopes = (2.0 * cubic * p + quadratic - sw2 / (p * p)) / denom
-        return vals, slopes
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        vals, slopes = values_slopes(mid)
-        worst = vals.max()
-        front = slopes[vals >= worst * (1.0 - 1e-12)]
-        if front.min() > 0:
-            hi = mid
-        elif front.max() < 0:
-            lo = mid
-        else:
-            return float(mid)
-        if hi - lo <= 1e-13 * hi:
-            break
-    return float(0.5 * (lo + hi))
+    powers, _, pick, _ = _minmax(*(c[active] for c in polys), hw.sigma_w2)
+    return float(powers[pick])
 
 
 def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, PrecoderSolution]:
@@ -245,7 +213,8 @@ def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, Preco
     q = build_q_m(hw)
     h = channel.h
     conventional = _conventional_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2, default_eta_grid(h, q, hw.rho))
+    eta_grid = default_eta_grid(h, q, hw.rho)
+    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2, eta_grid)
     return {"conventional": conventional, "distortion_aware": aware}
 
 

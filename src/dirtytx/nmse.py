@@ -4,10 +4,11 @@ The error of branch ``l`` is the gap between the actual (noisy,
 compressed, crosstalk-coupled) branch output and the ideal linear output
 ``gamma_l x_l``.  Under the linearized Gaussian model its variance is a
 cubic polynomial in the reference power, so the normalized error (NMSE)
-is strictly convex in power and the worst branch admits an exact
-min-max minimizer built from polynomial roots.
+is strictly convex in power.  One exact candidate solver, built from
+polynomial roots for any branch count, minimizes the worst branch NMSE.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -206,9 +207,63 @@ class BackoffSolution:
     tied: bool = False
 
 
-def _stationarity_cubic(coeffs, sigma_w2):
-    c3, c2, _ = coeffs
+def _stationarity_cubic(c3, c2, sigma_w2):
     return np.array([2.0 * c3, c2, 0.0, -sigma_w2])
+
+
+def _minmax(cubic, quadratic, linear, denom, sw2):
+    """Exact minimizer of the worst NMSE over any number of branches.
+
+    Branch ``l`` has NMSE ``(cubic[l] p^3 + quadratic[l] p^2 +
+    linear[l] p + sw2) / (denom[l] p)``, convex in ``p``.  The optimum
+    is a branch minimizer or a point where two branch NMSEs cross.  A
+    branch that is the worst at its own minimizer ``p_k`` settles it,
+    since ``W(p_k) = N_k(p_k) <= N_k(p) <= W(p)``, and no crossing is
+    solved.  Otherwise the crossing cubic of every branch pair is
+    solved; a root whose two NMSEs disagree beyond ``_BALANCE_TOL`` is
+    discarded with a warning, and the crossing with the lowest worst
+    NMSE (then the smaller power) is kept.
+
+    Returns ``(powers, worst, pick, tied)``: the branch minimizers, then
+    the kept crossing if any; the worst NMSE at each; the index of the
+    optimum (worst NMSE within 1e-12 relative, then the smaller power,
+    then the earlier candidate); and whether distinct powers tied.
+    """
+
+    def branches(p):
+        return (cubic * p ** 3 + quadratic * p * p + linear * p + sw2) / (denom * p)
+
+    powers = [unique_positive_root(_stationarity_cubic(a, b, sw2))
+              for a, b in zip(cubic, quadratic)]
+    values = [branches(p) for p in powers]
+    if not any(v[k] >= v.max() for k, v in enumerate(values)):
+        # p * (NMSE_i - NMSE_j) as a cubic; identical branches make it vanish.
+        cols = np.array([cubic, quadratic, linear, np.full_like(cubic, sw2)]).T / denom[:, None]
+        crossings = []
+        for i, j in itertools.combinations(range(len(powers)), 2):
+            diff = cols[i] - cols[j]
+            if not np.any(np.abs(diff) > 1e-12 * (np.abs(cols[i]) + np.abs(cols[j]))):
+                continue
+            for p in real_roots(diff).positive_roots:
+                v = branches(p)
+                ni, nj = v[i], v[j]
+                if abs(ni - nj) <= _BALANCE_TOL * max(ni, nj):
+                    crossings.append((v.max(), p))
+                else:
+                    warnings.warn(
+                        "discarding crossing candidate with unequal branch NMSEs "
+                        "(relative gap %.2e)" % (abs(ni - nj) / max(ni, nj)),
+                        stacklevel=3,
+                    )
+        if crossings:
+            powers.append(min(crossings)[1])
+            values.append(branches(powers[-1]))
+    worst = [v.max() for v in values]
+    best = min(worst)
+    winners = [k for k, w in enumerate(worst) if w <= best * (1.0 + 1e-12)]
+    pick = min(winners, key=lambda k: powers[k])
+    tied = len({round(powers[k], 15) for k in winners}) > 1
+    return powers, worst, pick, tied
 
 
 def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
@@ -216,9 +271,11 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
 
     The optimum is one of at most three closed-form candidates: the
     minimizer of either branch NMSE alone, or a crossing point where
-    both NMSEs are equal.  Crossing candidates whose two branch values
-    fail to agree within a small relative tolerance are discarded with a
-    warning (they are artifacts of the root finder).
+    both NMSEs are equal.  The crossing is searched only when neither
+    branch is the worse one at its own minimizer, so ``candidates``
+    holds ``"balanced"`` only then.  Crossing candidates whose two
+    branch values fail to agree within a small relative tolerance are
+    discarded with a warning (they are artifacts of the root finder).
     """
     if sig.beta <= 0:
         raise ValueError("min-max back-off needs both branches active (beta > 0)")
@@ -226,56 +283,12 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
         raise NoFiniteOptimumError("both branches must be compressive for a finite optimum")
 
     coeffs, denom = _branch_polynomials(hw, sig)
-    sw2 = hw.sigma_w2
-
-    def branch_values(p):
-        e1 = _terms(coeffs[0], sw2, p).total
-        e2 = _terms(coeffs[1], sw2, p).total
-        return e1 / (denom[0] * p), e2 / (denom[1] * p)
-
-    candidates: dict[str, float] = {}
-    candidates["branch1_min"] = unique_positive_root(_stationarity_cubic(coeffs[0], sw2))
-    candidates["branch2_min"] = unique_positive_root(_stationarity_cubic(coeffs[1], sw2))
-
-    # Crossing polynomial: p * (NMSE1 - NMSE2) expressed in the branch
-    # coefficients.  Fully symmetric setups make it vanish identically.
-    diff = np.empty(4)
-    scale = np.empty(4)
-    pair_cols = (
-        (coeffs[0][0] / denom[0], coeffs[1][0] / denom[1]),
-        (coeffs[0][1] / denom[0], coeffs[1][1] / denom[1]),
-        (coeffs[0][2] / denom[0], coeffs[1][2] / denom[1]),
-        (sw2 / denom[0], sw2 / denom[1]),
-    )
-    for i, (lhs, rhs) in enumerate(pair_cols):
-        diff[i] = lhs - rhs
-        scale[i] = abs(lhs) + abs(rhs)
-    if np.any(np.abs(diff) > 1e-12 * scale):
-        balanced = []
-        for p in real_roots(diff).positive_roots:
-            n1, n2 = branch_values(p)
-            if abs(n1 - n2) <= _BALANCE_TOL * max(n1, n2):
-                balanced.append((max(n1, n2), p))
-            else:
-                warnings.warn(
-                    "discarding crossing candidate with unequal branch NMSEs "
-                    "(relative gap %.2e)" % (abs(n1 - n2) / max(n1, n2)),
-                    stacklevel=2,
-                )
-        if balanced:
-            candidates["balanced"] = min(balanced)[1]
-
-    evaluated = {name: max(branch_values(p)) for name, p in candidates.items()}
-    best = min(evaluated.values())
-    winners = [name for name, v in evaluated.items() if v <= best * (1.0 + 1e-12)]
-    # Ties resolve toward the smaller power.
-    active = min(winners, key=lambda name: candidates[name])
-    tied = len({round(candidates[w], 15) for w in winners}) > 1
-
+    powers, worst, pick, tied = _minmax(*np.array(coeffs).T, np.array(denom), hw.sigma_w2)
+    names = ("branch1_min", "branch2_min", "balanced")
     return BackoffSolution(
-        p_x_opt=candidates[active],
-        achieved=evaluated[active],
-        active_case=active,
-        candidates=candidates,
+        p_x_opt=powers[pick],
+        achieved=worst[pick],
+        active_case=names[pick],
+        candidates=dict(zip(names, powers)),
         tied=tied,
     )

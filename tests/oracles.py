@@ -119,6 +119,35 @@ def minmax_grid_oracle(hw, sig, lo_dbm=-40.0, hi_dbm=20.0, n=10 ** 4):
     return grid[i], float(worst[i]), grid
 
 
+def worst_envelope(cubic, quadratic, linear, denom, sigma_w2, p):
+    """Worst branch NMSE at the power(s) ``p``, any branch count.
+
+    Takes the per-branch polynomial arrays of ``error_polynomials_m``:
+    branch ``l`` has NMSE ``(cubic[l] p^3 + quadratic[l] p^2 +
+    linear[l] p + sigma_w2) / (denom[l] p)``.
+    """
+    p = np.asarray(p, dtype=float)[..., None]
+    err = cubic * p ** 3 + quadratic * p ** 2 + linear * p + sigma_w2
+    return np.max(err / (denom * p), axis=-1)
+
+
+def minmax_envelope_oracle(cubic, quadratic, linear, denom, sigma_w2, n=10 ** 4):
+    """Brute-force min-max power for any branch count: returns (p_best, value).
+
+    A log grid from -40 to +20 dBm brackets the minimum of the convex
+    worst-branch envelope, and a golden-section search between the
+    grid neighbours of the best grid point polishes it.
+    """
+    grid = log_power_grid(n=n)
+    i = int(np.argmin(worst_envelope(cubic, quadratic, linear, denom, sigma_w2, grid)))
+
+    def fun(p):
+        return float(worst_envelope(cubic, quadratic, linear, denom, sigma_w2, p))
+
+    p = golden_section_min(fun, grid[max(i - 1, 0)], grid[min(i + 1, n - 1)])
+    return p, fun(p)
+
+
 def sndr_direct(c_eff, h, rho, sigma_w2, sigma_n2):
     """Post-combining SNDR written straight from its definition.
 

@@ -187,6 +187,30 @@ class TestExitCodes:
              "channel_distribution": {"count": 2, "sigma_n2": 0.0}},
             {"experiment": "se-perturbation", "signal": None, "sweep": None,
              "channel_distribution": {"count": 1, "sigma_n2": 0.0}},
+            # Power grids must be positive (watt is the default unit).
+            {"experiment": "gaussian-validation", "sweep": None, "p_x_points": [-0.001],
+             "n_samples": 200},
+            {"experiment": "gaussian-validation", "sweep": None, "p_x_points": [0.0],
+             "n_samples": 200},
+            {"experiment": "nmse-sweep", "sweep": {"p_x": [-0.001], "crosstalk2": [-50.0]},
+             "n_samples": 200},
+            {"experiment": "nmse-sweep", "sweep": {"p_x": [0.0], "crosstalk2": [-50.0]},
+             "n_samples": 200},
+            {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [-0.001]},
+             "channel": CHANNEL},
+            # The back-off needs both branches active.
+            {"signal": {"beta": 0, "xi": 0.0}},
+            # The SE designs need both branches strictly compressive.
+            {"experiment": "se-average", "signal": None, "sweep": None,
+             "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]),
+             "channel_distribution": {"count": 2, "sigma_n2": 1e-3}},
+            {"experiment": "se-perturbation", "signal": None, "sweep": None,
+             "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]), "channel": CHANNEL},
+            {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
+             "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]), "channel": CHANNEL},
+            {"experiment": "se-vs-crosstalk", "signal": None, "sweep": {"crosstalk2": [-50.0]},
+             "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]),
+             "channel_distribution": {"count": 2, "sigma_n2": 1e-3}},
         ],
         ids=["string", "nan", "infinity", "bool-count", "nan-overridden", "experiment-list",
              "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path",
@@ -194,7 +218,10 @@ class TestExitCodes:
              "channel-and-distribution-perturbation", "channel-and-distribution-mrt-sweep",
              "one-entry-channel-perturbation", "three-entry-channel-mrt-sweep",
              "zero-noise-distribution-average", "zero-noise-distribution-vs-crosstalk",
-             "zero-noise-distribution-perturbation"],
+             "zero-noise-distribution-perturbation", "negative-power-gaussian",
+             "zero-power-gaussian", "negative-power-nmse-sweep", "zero-power-nmse-sweep",
+             "negative-power-mrt-sweep", "zero-beta-backoff", "zero-rho-average",
+             "zero-rho-perturbation", "zero-rho-mrt-sweep", "zero-rho-vs-crosstalk"],
     )
     def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

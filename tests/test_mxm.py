@@ -31,6 +31,7 @@ from dirtytx.mxm import (
     simulate_batch_m,
 )
 from dirtytx.polyroots import unique_positive_root
+from oracles import minmax_envelope_oracle
 
 
 def random_pair(rng):
@@ -145,7 +146,7 @@ class TestTwoBranchSpecialization:
             hw, sig = random_pair(rng)
             opt2 = minmax_backoff(hw, sig).p_x_opt
             optm = minmax_backoff_m(hardware_from_pair(hw), signal_from_pair(sig))
-            assert abs(optm / opt2 - 1.0) < 1e-9
+            assert abs(optm / opt2 - 1.0) < 1e-12
 
     def test_mrt_matches_dedicated_module(self):
         rng = np.random.default_rng(4309)
@@ -242,21 +243,32 @@ class TestMinmaxBackoffM:
         assert minmax_backoff_m(hw, spec) == pytest.approx(single, rel=1e-12)
 
     def test_four_branch_grid_oracle(self):
+        # A branch minimizer wins here; golden-section search locates a
+        # smooth minimum only to about the square root of the rounding.
         rng = np.random.default_rng(4000)
         hw, shape = random_many(rng, 4, kappa_scale=2e-3)
         spec = SignalSpecM(c_x_shape=shape, p_x=dbm_to_watt(-6.0))
         opt = minmax_backoff_m(hw, spec)
-        grid = 1e-3 * 10 ** (np.linspace(-40.0, 20.0, 10 ** 4) / 10.0)
-        cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
-        curves = [
-            (cubic[i] * grid ** 3 + quadratic[i] * grid ** 2 + linear[i] * grid + hw.sigma_w2)
-            / (denom[i] * grid)
-            for i in range(4)
-        ]
-        worst = np.max(curves, axis=0)
-        best = grid[int(np.argmin(worst))]
-        step = np.log(grid[1]) - np.log(grid[0])
-        assert abs(np.log(opt) - np.log(best)) <= step + 1e-12
+        best, value = minmax_envelope_oracle(*error_polynomials_m(hw, spec), hw.sigma_w2)
+        assert abs(opt / best - 1.0) <= 1e-6
+        assert np.max(nmse_branches_m(hw, spec, opt)) <= value * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_crossing_path_matches_envelope_oracle(self, m):
+        # No branch is the worst at its own minimizer, so the optimum is
+        # a crossing of two branch NMSEs: a kink the oracle pins tightly.
+        rng = np.random.default_rng(4400)
+        hw, shape = random_many(rng, m, kappa_scale=2e-3)
+        spec = SignalSpecM(c_x_shape=shape, p_x=1e-3)
+        polys = error_polynomials_m(hw, spec)
+        for k in range(m):
+            p_k = unique_positive_root([2.0 * polys[0][k], polys[1][k], 0.0, -hw.sigma_w2])
+            values = nmse_branches_m(hw, spec, p_k)
+            assert values[k] < values.max()
+        opt = minmax_backoff_m(hw, spec)
+        best, value = minmax_envelope_oracle(*polys, hw.sigma_w2)
+        assert abs(opt / best - 1.0) <= 1e-9
+        assert np.max(nmse_branches_m(hw, spec, opt)) <= value * (1.0 + 1e-12)
 
     def test_objective_at_optimum_beats_grid(self):
         rng = np.random.default_rng(4313)

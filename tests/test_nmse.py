@@ -280,6 +280,24 @@ class TestMinmaxBackoff:
             worst = worst_nmse_on_grid(hw, sig, np.array([p for p in sol.candidates.values()]))
             assert sol.achieved <= worst.min() * (1.0 + 1e-12)
 
+    def test_crossing_searched_only_without_a_worst_branch_minimizer(self):
+        # A branch that is the worse one at its own minimizer is the
+        # optimum, so the crossing is searched (and reported) only when
+        # neither branch is.
+        rng = np.random.default_rng(409)
+        counts = {True: 0, False: 0}
+        for _ in range(300):
+            hw = random_hardware(rng)
+            sig = random_signal(rng)
+            sol = minmax_backoff(hw, sig)
+            settled = False
+            for k in (1, 2):
+                rep = nmse_branches(hw, sig, sol.candidates["branch%d_min" % k])
+                settled |= getattr(rep, "nmse%d" % k) >= rep.worst
+            assert ("balanced" in sol.candidates) == (not settled)
+            counts[settled] += 1
+        assert min(counts.values()) > 50
+
     def test_isolated_branch_candidate_matches_siso(self, symmetric_hw):
         # Killing the coupling into branch 1 reduces its stationarity
         # polynomial to the isolated-branch case.

@@ -16,6 +16,7 @@ from dirtytx import (
     perturbation_se,
     sndr,
 )
+from dirtytx import precoding
 from oracles import (
     precoder_candidates,
     random_channels,
@@ -129,10 +130,21 @@ class TestOptimalPrecoder:
             assert sol.se >= best["se"] - 1e-6
             assert abs(sol.se - best["se"]) < 1e-3
 
-    def test_selection_rule_matches_rebuilt_candidates(self):
+    def test_selection_rule_matches_rebuilt_candidates(self, monkeypatch):
         # Every tenth channel has a silent branch, where candidates tie
         # exactly: the two joint stationary points with each other, and
-        # with b1_stationary when branch 2 is silent.
+        # with b1_stationary when branch 2 is silent.  The scored (8, 2)
+        # stack must equal the rebuilt rows, which pins the candidates
+        # that never win (the opposed sheet and the saturation points).
+        score = precoding._sndr
+        stacks = []
+
+        def recording(c_eff, *args):
+            if np.ndim(c_eff) == 2:
+                stacks.append(c_eff)
+            return score(c_eff, *args)
+
+        monkeypatch.setattr(precoding, "_sndr", recording)
         rng = np.random.default_rng(2011)
         for k in range(200):
             hw = random_hardware(rng)
@@ -147,7 +159,12 @@ class TestOptimalPrecoder:
             best = max(scores)
             tied = [i for i, s in enumerate(scores) if s >= best - 1e-12 * max(1.0, best)]
             pick = min(tied, key=lambda i: np.linalg.norm(rows[i]))
+            stacks.clear()
             sol = optimal_precoder(ChannelSpec(h=h, sigma_n2=sigma_n2), hw)
+            (scored,) = stacks
+            assert scored.shape == (8, 2)
+            gap = np.linalg.norm(scored - rows, axis=1) / np.linalg.norm(rows, axis=1)
+            assert np.all(gap <= 1e-12)
             assert sol.provenance == tags[pick]
             assert abs(sol.se - np.log2(1.0 + scores[pick])) <= 1e-12
 
