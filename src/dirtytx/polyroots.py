@@ -52,17 +52,25 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return trimmed
 
 
-def _polish(coeffs: np.ndarray, deriv: np.ndarray, x: float) -> float:
+def _horner(coeffs, x: float) -> float:
+    """``np.polyval`` on Python floats: the same operations in the same order."""
+    acc = 0.0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _polish(coeffs: list, deriv: list, x: float) -> float:
     """A few guarded Newton steps around a companion eigenvalue."""
     best = x
-    best_res = abs(np.polyval(coeffs, x))
+    best_res = abs(_horner(coeffs, x))
     for _ in range(12):
-        d = np.polyval(deriv, x)
+        d = _horner(deriv, x)
         if d == 0:
             break
-        step = np.polyval(coeffs, x) / d
+        step = _horner(coeffs, x) / d
         x = x - step
-        res = abs(np.polyval(coeffs, x))
+        res = abs(_horner(coeffs, x))
         if res < best_res:
             best, best_res = x, res
         if abs(step) <= 1e-16 * max(1.0, abs(x)):
@@ -83,14 +91,15 @@ def real_roots(coefficients) -> RootReport:
     degree = coeffs.size - 1
     scale = np.max(np.abs(coeffs))
     work = coeffs / scale
-    deriv = np.polyder(work)
+    deriv = np.polyder(work).tolist()
 
     raw = np.roots(work)
+    plain = work.tolist()
     out = []
     for z in raw:
         if abs(z.imag) > _IMAG_TOL * max(1.0, abs(z)):
             continue
-        out.append(_polish(work, deriv, float(z.real)))
+        out.append(_polish(plain, deriv, float(z.real)))
     out.sort()
     roots = np.array(out, dtype=float)
     residuals = np.abs(np.polyval(coeffs, roots)) if roots.size else np.empty(0)
