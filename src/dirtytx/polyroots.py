@@ -1,11 +1,13 @@
 """Real-root extraction for the low-degree polynomials of the library.
 
 Every optimization in this package reduces to real roots of polynomials
-of degree six or less with real coefficients.  Roots come from the
-companion-matrix eigenvalues and are then polished with a few Newton
-steps so that downstream tolerances do not inherit eigenvalue error.
+of degree six or less.  A cubic with one coefficient sign change (the
+amplitude and back-off stationarity cubics) has one positive root,
+taken in closed form and polished inside a sign bracket.  Other roots
+are companion-matrix eigenvalues polished by a few Newton steps.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,8 @@ _IMAG_TOL = 1e-7
 # are treated as zero and trimmed, reducing the degree.
 _TRIM_TOL = 1e-13
 _RESIDUAL_TOL = 1e-8
+# The closed-form root's polish stops at a step or bracket of this many ulps.
+_ULPS = 4.0 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -86,8 +90,7 @@ def real_roots(coefficients) -> RootReport:
     reported root satisfies
     ``|p(root)| <= 1e-8 * max|coeff| * max(1, |root|)**degree``.
     """
-    coeffs = np.atleast_1d(np.asarray(coefficients, dtype=float))
-    coeffs = _trim(coeffs)
+    coeffs = _trim(np.atleast_1d(np.asarray(coefficients, dtype=float)))
     degree = coeffs.size - 1
     scale = np.max(np.abs(coeffs))
     work = coeffs / scale
@@ -102,15 +105,61 @@ def real_roots(coefficients) -> RootReport:
         out.append(_polish(plain, deriv, float(z.real)))
     out.sort()
     roots = np.array(out, dtype=float)
-    residuals = np.abs(np.polyval(coeffs, roots)) if roots.size else np.empty(0)
-
+    residuals = np.abs(np.polyval(coeffs, roots))
     bound = _RESIDUAL_TOL * scale * np.maximum(1.0, np.abs(roots)) ** degree
-    ok = residuals <= bound if roots.size else np.ones(0, dtype=bool)
+    ok = residuals <= bound
     return RootReport(coefficients=coeffs, roots=roots[ok], residuals=residuals[ok])
+
+
+def _cubic_positive_root(a: float, b: float, c: float, d: float) -> float:
+    """The one positive root of a cubic with one coefficient sign change.
+
+    The start is the largest real root of the depressed cubic
+    ``t^3 + p t + q`` (``x = t - b/(3a)``): stable Cardano when the
+    discriminant is >= 0, else the trigonometric form.  Newton steps
+    stay in the bracket ``p(lo) < 0 < p(hi)`` opened at 0 and the Cauchy
+    bound, bisect when a step leaves it, and stop on a step or bracket
+    of a few ulps: where the closed form cancels, a small residual does
+    not mean an accurate root.
+    """
+    if a < 0:
+        a, b, c, d = -a, -b, -c, -d
+    coeffs, deriv = (a, b, c, d), (3.0 * a, 2.0 * b, c)
+    lo, hi = 0.0, 1.0 + max(abs(b), abs(c), abs(d)) / a
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = (2.0 * shift * shift - c) * shift + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    if disc >= 0:
+        u = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(u) ** (1.0 / 3.0), u)
+        x = (u - p / (3.0 * u) if u != 0 else 0.0) - shift
+    else:
+        r = math.sqrt(-p / 3.0)
+        cos3 = max(-1.0, min(1.0, -0.5 * q / r / r / r))
+        x = 2.0 * r * math.cos(math.acos(cos3) / 3.0) - shift
+    if not lo < x < hi:
+        x = 0.5 * hi
+    for _ in range(200):
+        f = _horner(coeffs, x)
+        lo, hi = (x, hi) if f < 0 else (lo, x)
+        if hi - lo <= _ULPS * hi:
+            break
+        slope = _horner(deriv, x)
+        nxt = x - f / slope if slope else lo
+        if abs(nxt - x) <= _ULPS * x:
+            return min(max(nxt, lo), hi)
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 def unique_positive_root(coefficients) -> float:
     """The single positive root of a sign-structured polynomial.
+
+    A finite cubic with a nonzero constant and one coefficient sign
+    change has one positive root (Descartes) and takes the closed form;
+    any other polynomial goes through :func:`real_roots`.
 
     Raises
     ------
@@ -119,20 +168,15 @@ def unique_positive_root(coefficients) -> float:
         means the caller's structural assumption about the coefficient
         signs does not hold.
     """
-    report = real_roots(coefficients)
-    pos = report.positive_roots
-    if pos.size > 1:
-        # Collapse polishing artifacts: companion eigenvalues of a
-        # near-multiple pair can land on the same point after Newton.
-        distinct = [pos[0]]
-        for r in pos[1:]:
-            if r - distinct[-1] > 1e-9 * max(1.0, abs(r)):
-                distinct.append(r)
-        pos = np.array(distinct)
+    coeffs = _trim(np.atleast_1d(np.asarray(coefficients, dtype=float)))
+    plain = coeffs.tolist()
+    signs = [v > 0 for v in plain if v != 0]
+    if (len(plain) == 4 and plain[-1] != 0 and math.isfinite(sum(plain))
+            and sum(s != t for s, t in zip(signs, signs[1:])) == 1):
+        return _cubic_positive_root(*plain)
+    pos = real_roots(coeffs).positive_roots
     if pos.size == 0:
         raise RootStructureError("expected one positive root, found none")
     if pos.size > 1:
-        raise RootStructureError(
-            "expected one positive root, found %d: %s" % (pos.size, pos)
-        )
+        raise RootStructureError("expected one positive root, found %d: %s" % (pos.size, pos))
     return float(pos[0])

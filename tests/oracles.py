@@ -16,7 +16,9 @@ expose the Monte-Carlo core's input draw and feedback solver one step
 at a time, so tests can check each on its own.
 """
 
+import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 
@@ -76,6 +78,52 @@ def golden_section_min(fun, lo, hi, iters=200):
         if b - a <= 1e-15 * max(1.0, abs(b)):
             break
     return 0.5 * (a + b)
+
+
+def exact_positive_root(coeffs):
+    """Correctly rounded positive root of a polynomial with one sign change.
+
+    Coefficients are highest power first; with the leading one made
+    positive, ``p(0)`` must be negative.  A :class:`fractions.Fraction`
+    bisection: the bracket narrows over adjacent doubles, each tested by
+    the exact sign of ``p``, and the exact sign at the midpoint of the
+    last pair rounds the root.  Slow, stdlib only, and independent of
+    ``polyroots``.
+    """
+    exact = [Fraction(float(c)) for c in coeffs]
+    while exact and exact[0] == 0:
+        exact.pop(0)
+    if exact and exact[0] < 0:
+        exact = [-c for c in exact]
+
+    def sign(x):
+        acc = Fraction(0)
+        for c in exact:
+            acc = acc * x + c
+        return (acc > 0) - (acc < 0)
+
+    if len(exact) < 2 or sign(Fraction(0)) >= 0:
+        raise ValueError("expected p(0) < 0 under a positive leading coefficient")
+    hi = 1.0
+    while sign(Fraction(hi)) <= 0:
+        hi *= 2.0
+    lo_bits, hi_bits = 0, _float_bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if sign(Fraction(_bits_float(mid))) <= 0:
+            lo_bits = mid
+        else:
+            hi_bits = mid
+    lo, hi = _bits_float(lo_bits), _bits_float(hi_bits)
+    return lo if sign((Fraction(lo) + Fraction(hi)) / 2) >= 0 else hi
+
+
+def _float_bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(n):
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
 
 def log_power_grid(lo_dbm=-40.0, hi_dbm=20.0, n=10 ** 4):

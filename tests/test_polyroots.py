@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirtytx import siso_optimal_power
-from dirtytx.errors import DegeneratePolynomialError, RootStructureError
+from dirtytx import ChannelSpec, minmax_backoff, nmse, optimal_precoder, precoding, siso_optimal_power
+from dirtytx import polyroots
+from dirtytx.errors import DegeneratePolynomialError, NumericalError, RootStructureError
 from dirtytx.polyroots import real_roots, unique_positive_root
+from oracles import (
+    exact_positive_root,
+    random_channels,
+    random_hardware,
+    random_signal,
+)
 
 
 def bisect_positive_root(coeffs, hi=1e3, iters=200):
@@ -151,3 +158,105 @@ class TestStructuralFamilies:
                 [2.0 * g2, 0, 0, 0, -6.0 * rho * sigma2, 0, -sigma2]
             )
             assert_allclose(np.sqrt(s), direct, rtol=1e-9)
+
+
+def log_uniform(rng, lo, hi):
+    return 10.0 ** rng.uniform(np.log10(lo), np.log10(hi))
+
+
+def full_degree(coeffs):
+    try:
+        return polyroots._trim(np.asarray(coeffs, dtype=float)).size == len(coeffs)
+    except NumericalError:
+        return False
+
+
+class TestClosedFormCubic:
+    def test_exact_oracle_on_known_roots(self):
+        assert exact_positive_root([1.0, 0.0, 0.0, -8.0]) == 2.0
+        assert exact_positive_root([-4.0, 0.0, 0.0, 0.5]) == 0.5
+        # (x - 3)(x^2 + x + 1): one sign change, root 3.
+        assert exact_positive_root([1.0, -2.0, -2.0, -3.0]) == 3.0
+
+    def test_stationarity_cubics_match_exact_root(self):
+        # 2 c3 p^3 + c2 p^2 - sigma_w2 over ranges far wider than the
+        # library's, including c2 >> c3 where the closed form cancels.
+        rng = np.random.default_rng(211)
+        checked = 0
+        for _ in range(600):
+            c3 = log_uniform(rng, 1e-12, 1e12)
+            c2 = rng.choice([-1.0, 1.0]) * c3 * log_uniform(rng, 1e-8, 1e8)
+            sw2 = log_uniform(rng, 1e-12, 1e4)
+            coeffs = [2.0 * c3, c2, 0.0, -sw2]
+            if not full_degree(coeffs):
+                continue
+            exact = exact_positive_root(coeffs)
+            assert abs(unique_positive_root(coeffs) - exact) <= 1e-15 * exact, coeffs
+            checked += 1
+        assert checked > 500
+
+    def test_amplitude_cubics_match_exact_root(self):
+        # 2 g^2 s^3 + 6 |rho| sigma2 s - sigma2.
+        rng = np.random.default_rng(223)
+        for _ in range(600):
+            g2 = log_uniform(rng, 1e-6, 1e4)
+            rho = -log_uniform(rng, 1e-3, 1.0)
+            sigma2 = log_uniform(rng, 1e-6, 10.0)
+            coeffs = [2.0 * g2, 0.0, -6.0 * rho * sigma2, -sigma2]
+            exact = exact_positive_root(coeffs)
+            assert abs(unique_positive_root(coeffs) - exact) <= 1e-15 * exact, coeffs
+
+    def test_zero_gain_degrades_to_linear_balance(self):
+        rho, sigma2 = -0.02, 0.3
+        balance = 1.0 / (-6.0 * rho)
+        assert_allclose(precoding._amp_cubic_root(0.0, rho, sigma2) ** 2, balance, rtol=1e-15)
+        # A small but untrimmed gain stays on the closed form and next
+        # to the balance: s = balance - 2 g^2 s^3 / (6 |rho| sigma2).
+        g2 = 1e-12
+        s = precoding._amp_cubic_root(g2, rho, sigma2) ** 2
+        assert s < balance
+        assert_allclose(s, balance - 2.0 * g2 * balance ** 3 / (-6.0 * rho * sigma2), rtol=1e-12)
+
+    def test_three_sign_changes_take_the_companion_path(self, monkeypatch):
+        # (x - 1)(x^2 - x + 1): three sign changes, one positive root.
+        seen = []
+
+        def spy(coeffs):
+            seen.append(coeffs)
+            return real_roots(coeffs)
+
+        monkeypatch.setattr(polyroots, "real_roots", spy)
+        assert_allclose(unique_positive_root([1.0, -2.0, 2.0, -1.0]), 1.0, rtol=1e-12)
+        assert len(seen) == 1
+
+
+class TestFastPathGuard:
+    """The library's cubics never reach the companion eigensolve."""
+
+    @pytest.fixture
+    def no_companion(self, monkeypatch):
+        def refuse(coeffs):
+            raise AssertionError("companion path reached for %s" % (coeffs,))
+
+        monkeypatch.setattr(polyroots, "real_roots", refuse)
+
+    def test_optimal_precoder(self, no_companion):
+        rng = np.random.default_rng(227)
+        for h in random_channels(rng, 40):
+            best = optimal_precoder(ChannelSpec(h=h, sigma_n2=1.0), random_hardware(rng))
+            assert np.isfinite(best.se)
+
+    def test_minmax_backoff_short_cut(self, monkeypatch):
+        rng = np.random.default_rng(229)
+        draws = [(random_hardware(rng), random_signal(rng)) for _ in range(60)]
+        expected = [minmax_backoff(hw, sig) for hw, sig in draws]
+        short_cut = [k for k, sol in enumerate(expected) if "balanced" not in sol.candidates]
+        assert len(short_cut) >= 10
+
+        def refuse(coeffs):
+            raise AssertionError("companion path reached for %s" % (coeffs,))
+
+        monkeypatch.setattr(polyroots, "real_roots", refuse)
+        monkeypatch.setattr(nmse, "real_roots", refuse)
+        for k in short_cut:
+            assert minmax_backoff(*draws[k]) == expected[k]
