@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dirtytx import ChannelSpec, minmax_backoff, nmse, optimal_precoder, precoding, siso_optimal_power
-from dirtytx import polyroots
+from dirtytx import (
+    ChannelSpec,
+    minmax_backoff,
+    nmse,
+    optimal_precoder,
+    polyroots,
+    precoding,
+    siso_optimal_power,
+)
 from dirtytx.errors import DegeneratePolynomialError, NumericalError, RootStructureError
 from dirtytx.polyroots import real_roots, unique_positive_root
 from oracles import (
@@ -230,17 +237,16 @@ class TestClosedFormCubic:
         assert len(seen) == 1
 
 
+def refuse_companion(coeffs):
+    raise AssertionError("companion path reached for %s" % (coeffs,))
+
+
 class TestFastPathGuard:
     """The library's cubics never reach the companion eigensolve."""
 
-    @pytest.fixture
-    def no_companion(self, monkeypatch):
-        def refuse(coeffs):
-            raise AssertionError("companion path reached for %s" % (coeffs,))
-
-        monkeypatch.setattr(polyroots, "real_roots", refuse)
-
-    def test_optimal_precoder(self, no_companion):
+    def test_optimal_precoder(self, monkeypatch):
+        monkeypatch.setattr(polyroots, "real_roots", refuse_companion)
+        monkeypatch.setattr(precoding, "real_roots", refuse_companion)
         rng = np.random.default_rng(227)
         for h in random_channels(rng, 40):
             best = optimal_precoder(ChannelSpec(h=h, sigma_n2=1.0), random_hardware(rng))
@@ -252,11 +258,7 @@ class TestFastPathGuard:
         expected = [minmax_backoff(hw, sig) for hw, sig in draws]
         short_cut = [k for k, sol in enumerate(expected) if "balanced" not in sol.candidates]
         assert len(short_cut) >= 10
-
-        def refuse(coeffs):
-            raise AssertionError("companion path reached for %s" % (coeffs,))
-
-        monkeypatch.setattr(polyroots, "real_roots", refuse)
-        monkeypatch.setattr(nmse, "real_roots", refuse)
+        monkeypatch.setattr(polyroots, "real_roots", refuse_companion)
+        monkeypatch.setattr(nmse, "real_roots", refuse_companion)
         for k in short_cut:
             assert minmax_backoff(*draws[k]) == expected[k]
