@@ -383,14 +383,7 @@ def _run_backoff_vs_gain(cfg, units, seed):
     return names, col_units, rows, {}
 
 
-def _channel_for_single(cfg, units, seed) -> ChannelSpec:
-    if "channel" in cfg and "channel_distribution" in cfg:
-        raise ConfigError("set channel or channel_distribution, not both")
-    if "channel" not in cfg:
-        count, sigma_n2 = _parse_channel_distribution(cfg, units)
-        if count != 1:
-            raise ConfigError("single-channel experiments need channel_distribution.count = 1")
-        return ChannelSpec(h=_draw_channels(seed, 1)[0], sigma_n2=sigma_n2)
+def _parse_channel(cfg, units) -> ChannelSpec:
     ch = _section(cfg, "channel", ("h", "sigma_n2"))
     h_raw = _get(ch, "channel.h")
     if not isinstance(h_raw, (list, tuple)) or len(h_raw) != 2:
@@ -409,7 +402,7 @@ def _optimum_meta(prefix, sol):
 
 def _run_se_perturbation(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
-    channel = _channel_for_single(cfg, units, seed)
+    channel = _parse_channel(cfg, units)
     phase_count = _get(cfg, "phase_count", 36, _count)
     scales = _grid(cfg, "amp_scales", _scalar, {"start": 0.25, "stop": 3.0, "count": 12})
     sol = optimal_precoder(channel, hw)
@@ -426,7 +419,7 @@ def _run_se_perturbation(cfg, units, seed):
 
 def _run_se_mrt_sweep(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
-    channel = _channel_for_single(cfg, units, seed)
+    channel = _parse_channel(cfg, units)
     p_grid = _grid(_section(cfg, "sweep", ("p_x",)), "sweep.p_x", units.power)
     se_conv = mrt_ray_curve(channel, hw, p_grid)
     _, p_da, se_da = distortion_aware_curve(channel, hw)
@@ -490,9 +483,8 @@ _RUNNERS = {
                             {"hardware", "signal", "p_x_points", "n_samples"}),
     "nmse-sweep": (_run_nmse_sweep, {"hardware", "signal", "sweep", "n_samples"}),
     "backoff-vs-gain": (_run_backoff_vs_gain, {"hardware", "signal", "sweep"}),
-    "se-perturbation": (_run_se_perturbation, {"hardware", "channel", "channel_distribution",
-                                               "phase_count", "amp_scales"}),
-    "se-mrt-sweep": (_run_se_mrt_sweep, {"hardware", "channel", "channel_distribution", "sweep"}),
+    "se-perturbation": (_run_se_perturbation, {"hardware", "channel", "phase_count", "amp_scales"}),
+    "se-mrt-sweep": (_run_se_mrt_sweep, {"hardware", "channel", "sweep"}),
     "se-average": (_run_se_average, {"hardware", "channel_distribution"}),
     "se-vs-crosstalk": (_run_se_vs_crosstalk, {"hardware", "channel_distribution", "sweep"}),
 }

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import NoFiniteOptimumError, SingularCouplingError
 from .montecarlo import SampleBatch, _empirical_nmse, _simulate
 from .nmse import _minmax
-from .precoding import ChannelSpec, PrecoderSolution, default_eta_grid
+from .precoding import ChannelSpec, PrecoderSolution
 from .precoding import _conventional_mrt_engine, _da_mrt_engine
 
 __all__ = [
@@ -213,8 +213,7 @@ def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, Preco
     q = build_q_m(hw)
     h = channel.h
     conventional = _conventional_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-    eta_grid = default_eta_grid(h, q, hw.rho)
-    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2, eta_grid)
+    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
     return {"conventional": conventional, "distortion_aware": aware}
 
 

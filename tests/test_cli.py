@@ -170,7 +170,7 @@ class TestExitCodes:
              "hardware": dict(HW_BLOCK, rho=[0.025, -0.025]),
              "channel_distribution": {"count": 2, "sigma_n2": 1e-3},
              "sweep": {"crosstalk2": []}},
-            # A given channel leaves the distribution unread.
+            # Single-channel kinds read only channel; a distribution is an unknown key.
             {"experiment": "se-perturbation", "signal": None, "sweep": None,
              "channel": CHANNEL, "channel_distribution": {"count": "bogus"}},
             {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
@@ -180,13 +180,13 @@ class TestExitCodes:
              "channel": dict(CHANNEL, h=[[1.0, 0.0]])},
             {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [1e-3]},
              "channel": dict(CHANNEL, h=[[1.0, 0.0], [0.5, 0.5], [0.2, 0.1]])},
-            # Drawn channels need positive receiver noise.
+            # Channels need positive receiver noise.
             {"experiment": "se-average", "signal": None, "sweep": None,
              "channel_distribution": {"count": 2, "sigma_n2": 0.0}},
             {"experiment": "se-vs-crosstalk", "signal": None, "sweep": {"crosstalk2": [-50.0]},
              "channel_distribution": {"count": 2, "sigma_n2": 0.0}},
             {"experiment": "se-perturbation", "signal": None, "sweep": None,
-             "channel_distribution": {"count": 1, "sigma_n2": 0.0}},
+             "channel": dict(CHANNEL, sigma_n2=0.0)},
             # Power grids must be positive (watt is the default unit).
             {"experiment": "gaussian-validation", "sweep": None, "p_x_points": [-0.001],
              "n_samples": 200},
@@ -218,7 +218,7 @@ class TestExitCodes:
              "channel-and-distribution-perturbation", "channel-and-distribution-mrt-sweep",
              "one-entry-channel-perturbation", "three-entry-channel-mrt-sweep",
              "zero-noise-distribution-average", "zero-noise-distribution-vs-crosstalk",
-             "zero-noise-distribution-perturbation", "negative-power-gaussian",
+             "zero-noise-channel-perturbation", "negative-power-gaussian",
              "zero-power-gaussian", "negative-power-nmse-sweep", "zero-power-nmse-sweep",
              "negative-power-mrt-sweep", "zero-beta-backoff", "zero-rho-average",
              "zero-rho-perturbation", "zero-rho-mrt-sweep", "zero-rho-vs-crosstalk"],

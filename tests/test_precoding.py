@@ -340,18 +340,26 @@ class TestConventionalMrt:
         assert np.isfinite(sol.se) and sol.se > 0
 
 
+def family(ch, hw):
+    """The distortion-aware family's ``(etas, rows, sndr)`` on ``ch``."""
+    q, h, rho, sigma_w2, sigma_n2 = precoding._two_branch(ch, hw)
+    return precoding._da_family(q, h, rho, *precoding._noise_terms(h, rho, sigma_w2, sigma_n2))
+
+
 class TestDistortionAwareMrt:
     def test_fixed_point_relation(self):
         hw = reference_hw(rho=(-0.018, -0.031))
         ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
-        etas, _, _ = distortion_aware_curve(ch, hw)
-        sol = distortion_aware_mrt(ch, hw)
+        etas, rows, scores = family(ch, hw)
         rho = np.array(hw.rho)
-        for eta in (etas[0], etas[len(etas) // 2], etas[-1]):
-            sub = distortion_aware_mrt(ch, hw, eta_grid=np.array([eta]))
-            lhs = sub.c_eff
-            rhs = np.sqrt(eta) * np.conj(ch.h) * (1.0 + 2.0 * rho * np.abs(sub.c_eff) ** 2)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
+        rhs = np.sqrt(etas)[:, None] * np.conj(ch.h) * (1.0 + 2.0 * rho * np.abs(rows) ** 2)
+        assert np.all(np.abs(rows - rhs) <= 1e-10 * np.maximum(1.0, np.abs(rows)))
+        # The line search and the sweep curve read the same family.
+        sol = distortion_aware_mrt(ch, hw)
+        assert np.array_equal(sol.c_eff, rows[np.argmax(scores)])
+        curve_etas, _, se = distortion_aware_curve(ch, hw)
+        assert np.array_equal(curve_etas, etas)
+        assert np.array_equal(se, np.log2(1.0 + scores))
         assert sol.valid
 
     def test_curve_is_unimodal(self):
@@ -373,10 +381,10 @@ class TestDistortionAwareMrt:
         rng = np.random.default_rng(2029)
         h = random_channels(rng, 1)[0]
         ch = ChannelSpec(h=h, sigma_n2=1.0)
-        etas, _, se = distortion_aware_curve(ch, hw)
-        sub = distortion_aware_mrt(ch, hw, eta_grid=np.array([etas[-1]]))
+        _, rows, _ = family(ch, hw)
+        _, _, se = distortion_aware_curve(ch, hw)
         sat = np.sqrt(1.0 / (2.0 * 0.025))
-        assert np.all(np.abs(sub.c_eff) <= sat + 1e-9)
+        assert np.all(np.abs(rows) <= sat + 1e-9)
         assert se[-1] < 0.05 * np.max(se)
 
     def test_best_point_beats_plain_ray_on_average(self):
@@ -399,10 +407,21 @@ class TestDistortionAwareMrt:
         assert np.min(gaps) > -0.02
         assert np.mean(gaps) > 0.0
 
-    def test_single_point_grid_override(self):
-        hw = reference_hw()
-        ch = ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
-        sol = distortion_aware_mrt(ch, hw, eta_grid=np.array([1e-4]))
-        assert_allclose(sol.p_x, abs(sol.c[0]) ** 2, rtol=1e-12)
-        ref = distortion_aware_mrt(ch, hw)
-        assert sol.se <= ref.se + 1e-12
+
+TWO_BRANCH_DESIGNS = {
+    "optimal": optimal_precoder,
+    "conventional": conventional_mrt,
+    "distortion-aware": distortion_aware_mrt,
+    "distortion-aware-curve": distortion_aware_curve,
+    "ray-curve": lambda ch, hw: mrt_ray_curve(ch, hw, [1e-3]),
+}
+
+
+@pytest.mark.parametrize("design", TWO_BRANCH_DESIGNS.values(), ids=TWO_BRANCH_DESIGNS.keys())
+def test_two_branch_entry_check(design):
+    ch = ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
+    for rho in ((0.0, -0.02), (-0.02, 0.0), (0.0, 0.0)):
+        with pytest.raises(ValueError, match="strictly compressive"):
+            design(ch, reference_hw(rho=rho))
+    with pytest.raises(ValueError, match="two-entry channel"):
+        design(ChannelSpec(h=np.ones(3, dtype=complex), sigma_n2=1.0), reference_hw())
