@@ -5,161 +5,22 @@ linearization of the amplifier feedback loop, exact power back-off and
 precoder optimizers, an any-branch-count generalization, and a
 Monte-Carlo oracle that validates all of it against the exact
 nonlinear system.
+
+Each module's ``__all__`` is the one list of its public names; the
+package republishes them all.
 """
 
-from .errors import (
-    BoundaryEvaluationError,
-    ConfigError,
-    ConvergenceError,
-    DegeneratePolynomialError,
-    DirtyTxError,
-    NoFiniteOptimumError,
-    NumericalError,
-    RootStructureError,
-    SingularCouplingError,
-)
-from .model import (
-    BussgangGainWarning,
-    BussgangModel,
-    HardwareConfig,
-    ModelValidityWarning,
-    SignalSpec,
-    build_model,
-    bussgang_gains,
-    coupling_matrix,
-    distortion_covariance,
-    fourth_moment_matrix,
-    internal_covariance,
-    sixth_moment_matrix,
-    unit_internal_covariance,
-)
-from .mxm import (
-    HardwareConfigM,
-    SignalSpecM,
-    build_q_m,
-    hardware_from_pair,
-    minmax_backoff_m,
-    mrt_variants_m,
-    nmse_branches_m,
-    signal_from_pair,
-    simulate_batch_m,
-)
-from .montecarlo import (
-    SampleBatch,
-    bussgang_residual,
-    covariance_mismatch,
-    empirical_cdf_distance,
-    empirical_moments,
-    empirical_nmse,
-    simulate_batch,
-)
-from .nmse import (
-    BackoffSolution,
-    ErrorTerms,
-    NmseReport,
-    approx_nmse1,
-    error_covariance_diag,
-    minmax_backoff,
-    nmse_branches,
-    nmse_second_derivative,
-    siso_optimal_power,
-)
-from .polyroots import RootReport, real_roots, unique_positive_root
-from .precoding import (
-    ChannelSpec,
-    PrecoderSolution,
-    achievable_se,
-    conventional_mrt,
-    distortion_aware_curve,
-    distortion_aware_mrt,
-    mrt_ray_curve,
-    optimal_precoder,
-    perturbation_se,
-    sndr,
-)
-from .experiments import (
-    EXPERIMENT_KINDS,
-    ResultTable,
-    config_digest,
-    emit,
-    load_config,
-    render,
-    run_experiment,
-)
-from .units import db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
+from . import errors, experiments, model, montecarlo, mxm, nmse, polyroots, precoding, units
+from .errors import *
+from .experiments import *
+from .model import *
+from .montecarlo import *
+from .mxm import *
+from .nmse import *
+from .polyroots import *
+from .precoding import *
+from .units import *
 from .version import __version__
 
-__all__ = [
-    "__version__",
-    "BackoffSolution",
-    "BoundaryEvaluationError",
-    "BussgangGainWarning",
-    "BussgangModel",
-    "ChannelSpec",
-    "ConfigError",
-    "ConvergenceError",
-    "DegeneratePolynomialError",
-    "DirtyTxError",
-    "EXPERIMENT_KINDS",
-    "ErrorTerms",
-    "HardwareConfig",
-    "HardwareConfigM",
-    "ModelValidityWarning",
-    "NmseReport",
-    "NoFiniteOptimumError",
-    "NumericalError",
-    "PrecoderSolution",
-    "ResultTable",
-    "RootReport",
-    "RootStructureError",
-    "SampleBatch",
-    "SignalSpec",
-    "SignalSpecM",
-    "SingularCouplingError",
-    "achievable_se",
-    "approx_nmse1",
-    "build_model",
-    "build_q_m",
-    "bussgang_gains",
-    "bussgang_residual",
-    "config_digest",
-    "conventional_mrt",
-    "coupling_matrix",
-    "covariance_mismatch",
-    "db_to_linear",
-    "dbm_to_watt",
-    "distortion_aware_curve",
-    "distortion_aware_mrt",
-    "distortion_covariance",
-    "emit",
-    "empirical_cdf_distance",
-    "empirical_moments",
-    "empirical_nmse",
-    "error_covariance_diag",
-    "fourth_moment_matrix",
-    "hardware_from_pair",
-    "internal_covariance",
-    "linear_to_db",
-    "load_config",
-    "minmax_backoff",
-    "minmax_backoff_m",
-    "mrt_ray_curve",
-    "mrt_variants_m",
-    "nmse_branches",
-    "nmse_branches_m",
-    "nmse_second_derivative",
-    "optimal_precoder",
-    "perturbation_se",
-    "real_roots",
-    "render",
-    "run_experiment",
-    "signal_from_pair",
-    "simulate_batch",
-    "simulate_batch_m",
-    "siso_optimal_power",
-    "sixth_moment_matrix",
-    "sndr",
-    "unique_positive_root",
-    "unit_internal_covariance",
-    "watt_to_dbm",
-]
+_MODULES = (errors, experiments, model, montecarlo, mxm, nmse, polyroots, precoding, units)
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

@@ -4,6 +4,18 @@ Config problems and numerical failures are kept distinct so the command line
 tool can map them to different exit codes.
 """
 
+__all__ = [
+    "DirtyTxError",
+    "ConfigError",
+    "NumericalError",
+    "SingularCouplingError",
+    "RootStructureError",
+    "DegeneratePolynomialError",
+    "NoFiniteOptimumError",
+    "BoundaryEvaluationError",
+    "ConvergenceError",
+]
+
 
 class DirtyTxError(Exception):
     """Base class for all library-specific errors."""

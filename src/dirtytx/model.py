@@ -16,6 +16,7 @@ layers build on.  All powers are in watt, compression coefficients in
 1/watt.
 """
 
+from math import inf
 import warnings
 from dataclasses import dataclass, field
 
@@ -30,7 +31,6 @@ __all__ = [
     "ModelValidityWarning",
     "BussgangGainWarning",
     "coupling_matrix",
-    "unit_internal_covariance",
     "internal_covariance",
     "bussgang_gains",
     "fourth_moment_matrix",
@@ -78,16 +78,20 @@ class HardwareConfig:
     def __post_init__(self):
         if len(self.gamma) != 2 or len(self.kappa) != 2 or len(self.rho) != 2:
             raise ValueError("gamma, kappa and rho must each have two entries")
-        if not all(g > 0 for g in self.gamma):
-            raise ValueError("branch gains must be positive")
-        if any(r > 0 for r in self.rho):
-            raise ValueError("compression coefficients must be <= 0")
-        if not self.sigma_w2 > 0:
-            raise ValueError("thermal noise variance must be positive")
-        if self.crosstalk_product > SMALL_ERROR_LIMIT:
+        # Chained comparisons written so that NaN fails them too.
+        if not all(0 < g < inf for g in self.gamma):
+            raise ValueError("branch gains must be positive and finite")
+        if not all(-inf < r <= 0 for r in self.rho):
+            raise ValueError("compression coefficients must be finite and <= 0")
+        if not 0 < self.sigma_w2 < inf:
+            raise ValueError("thermal noise variance must be positive and finite")
+        loop = self.crosstalk_product
+        if not loop < inf:
+            raise ValueError("crosstalk loop gain must be finite")
+        if loop > SMALL_ERROR_LIMIT:
             warnings.warn(
                 "loop gain |g1*g2*k1*k2| = %.3g exceeds %.3g; linearized "
-                "statistics may be inaccurate" % (self.crosstalk_product, SMALL_ERROR_LIMIT),
+                "statistics may be inaccurate" % (loop, SMALL_ERROR_LIMIT),
                 ModelValidityWarning,
                 stacklevel=2,
             )
@@ -134,11 +138,11 @@ class SignalSpec:
     xi: complex = 0.0
 
     def __post_init__(self):
-        if self.p_x < 0:
-            raise ValueError("reference power must be >= 0")
-        if self.beta < 0:
-            raise ValueError("amplitude ratio must be >= 0")
-        if abs(self.xi) > 1 + 1e-12:
+        if not 0 <= self.p_x < inf:
+            raise ValueError("reference power must be finite and >= 0")
+        if not 0 <= self.beta < inf:
+            raise ValueError("amplitude ratio must be finite and >= 0")
+        if not abs(self.xi) <= 1 + 1e-12:
             raise ValueError("cross-correlation magnitude must be <= 1")
 
     def covariance_shape(self) -> np.ndarray:
@@ -146,10 +150,9 @@ class SignalSpec:
         b, x = self.beta, complex(self.xi)
         return np.array([[1.0, b * x], [b * np.conj(x), b * b]], dtype=complex)
 
-    def covariance(self, p_x: float | None = None) -> np.ndarray:
-        """Input covariance at reference power ``p_x`` (default: ``self.p_x``)."""
-        p = self.p_x if p_x is None else p_x
-        return p * self.covariance_shape()
+    def covariance(self) -> np.ndarray:
+        """Input covariance at the reference power ``p_x``."""
+        return self.p_x * self.covariance_shape()
 
 
 def coupling_matrix(hw: HardwareConfig) -> np.ndarray:
@@ -167,7 +170,7 @@ def coupling_matrix(hw: HardwareConfig) -> np.ndarray:
 
 
 def _internal_powers(g1, g2, k1, k2, b, xi) -> tuple[float, float]:
-    """Diagonal ``(t11, t22)`` of :func:`unit_internal_covariance` as scalars.
+    """Diagonal ``(t11, t22)`` of ``Q Cs Q^H`` per unit reference power.
 
     Takes the unpacked gains, crosstalk scalings, amplitude ratio and
     (complex) correlation.  The NMSE polynomials need only these two
@@ -178,39 +181,17 @@ def _internal_powers(g1, g2, k1, k2, b, xi) -> tuple[float, float]:
     return t11, t22
 
 
-def unit_internal_covariance(hw: HardwareConfig, sig: SignalSpec) -> np.ndarray:
-    """Covariance of the amplifier inputs per unit reference power.
-
-    Entries are assembled from the closed forms rather than the matrix
-    product, so each coefficient is exact in the model parameters:
-
-    .. math::
-        t_{11} = \\gamma_1^2 (1 + 2\\gamma_2\\beta\\,\\mathrm{Re}(\\kappa_2^*\\xi)
-                 + \\gamma_2^2|\\kappa_2|^2\\beta^2)
-
-    and symmetrically for the other entries.  The result equals
-    ``Q Cs Q^H`` with ``Cs`` the unit-power input covariance.
-    """
-    g1, g2 = hw.gamma
-    k1, k2 = hw.kappa
-    b = sig.beta
-    xi = complex(sig.xi)
-    t11, t22 = _internal_powers(g1, g2, k1, k2, b, xi)
-    t12 = g1 * g2 * (
-        g1 * np.conj(k1)
-        + b * xi
-        + g1 * g2 * np.conj(k1) * k2 * b * np.conj(xi)
-        + g2 * k2 * b * b
-    )
-    return np.array([[t11, t12], [np.conj(t12), t22]], dtype=complex)
-
-
 def internal_covariance(
     hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None
 ) -> np.ndarray:
-    """Covariance of the amplifier inputs at reference power ``p_x``."""
+    """Covariance ``p Q Cs Q^H`` of the amplifier inputs at reference power ``p_x``.
+
+    ``Q`` is :func:`coupling_matrix` and ``Cs`` the unit-power input
+    covariance :meth:`SignalSpec.covariance_shape`.
+    """
     p = sig.p_x if p_x is None else p_x
-    return p * unit_internal_covariance(hw, sig)
+    q = coupling_matrix(hw)
+    return p * (q @ sig.covariance_shape() @ q.conj().T)
 
 
 def bussgang_gains(u_cov: np.ndarray, rho) -> np.ndarray:

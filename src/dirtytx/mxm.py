@@ -59,14 +59,15 @@ class HardwareConfigM:
             raise ValueError("crosstalk matrix shape must match the gain count")
         if rho.shape != (m,):
             raise ValueError("need one compression coefficient per branch")
-        if not np.all(gamma > 0):
-            raise ValueError("branch gains must be positive")
-        if np.any(np.abs(np.diag(kappa)) != 0):
-            raise ValueError("crosstalk matrix must have a zero diagonal")
-        if np.any(rho > 0):
-            raise ValueError("compression coefficients must be <= 0")
-        if not self.sigma_w2 > 0:
-            raise ValueError("noise variance must be positive")
+        # Comparisons written so that NaN fails them too.
+        if not np.all((gamma > 0) & (gamma < np.inf)):
+            raise ValueError("branch gains must be positive and finite")
+        if not (np.all(np.diag(kappa) == 0) and np.isfinite(kappa).all()):
+            raise ValueError("crosstalk matrix must be finite with a zero diagonal")
+        if not np.all((rho > -np.inf) & (rho <= 0)):
+            raise ValueError("compression coefficients must be finite and <= 0")
+        if not 0 < self.sigma_w2 < np.inf:
+            raise ValueError("noise variance must be positive and finite")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "rho", rho)
@@ -96,20 +97,19 @@ class SignalSpecM:
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValueError("covariance shape must be square")
         scale = max(np.linalg.norm(s), 1.0)
-        if np.linalg.norm(s - s.conj().T) > 1e-12 * scale:
-            raise ValueError("covariance shape must be Hermitian")
+        if not np.linalg.norm(s - s.conj().T) <= 1e-12 * scale:
+            raise ValueError("covariance shape must be finite and Hermitian")
         evals = np.linalg.eigvalsh(s)
         if evals.min() < -1e-12 * max(evals.max(), 1.0):
             raise ValueError("covariance shape must be positive semidefinite")
         if abs(s[0, 0] - 1.0) > 1e-12:
             raise ValueError("covariance shape must have a unit (1,1) entry")
-        if self.p_x < 0:
-            raise ValueError("reference power must be non-negative")
+        if not 0 <= self.p_x < np.inf:
+            raise ValueError("reference power must be finite and non-negative")
         object.__setattr__(self, "c_x_shape", s)
 
-    def covariance(self, p_x: float | None = None) -> np.ndarray:
-        p = self.p_x if p_x is None else p_x
-        return p * self.c_x_shape
+    def covariance(self) -> np.ndarray:
+        return self.p_x * self.c_x_shape
 
 
 def hardware_from_pair(hw) -> HardwareConfigM:

@@ -23,7 +23,6 @@ __all__ = [
     "ErrorTerms",
     "NmseReport",
     "BackoffSolution",
-    "error_covariance_diag",
     "nmse_branches",
     "nmse_second_derivative",
     "approx_nmse1",
@@ -111,15 +110,6 @@ def _branch_polynomials(hw: HardwareConfig, sig: SignalSpec):
 def _terms(coeffs, sigma_w2: float, p: float) -> ErrorTerms:
     c3, c2, c1 = coeffs
     return ErrorTerms(cubic=c3 * p ** 3, quadratic=c2 * p * p, linear=c1 * p, noise=sigma_w2)
-
-
-def error_covariance_diag(
-    hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None
-) -> tuple[float, float]:
-    """Per-branch error variances ``(e11, e22)`` in watt."""
-    p = sig.p_x if p_x is None else p_x
-    coeffs, _ = _branch_polynomials(hw, sig)
-    return (_terms(coeffs[0], hw.sigma_w2, p).total, _terms(coeffs[1], hw.sigma_w2, p).total)
 
 
 def nmse_branches(hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None) -> NmseReport:

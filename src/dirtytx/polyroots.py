@@ -64,8 +64,12 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def _polish(coeffs: list, deriv: list, x: float) -> float:
-    """A few guarded Newton steps around a companion eigenvalue."""
+def _polish(coeffs: list, deriv: list, x: float, floor: float = 1.0) -> float:
+    """A few guarded Newton steps around a companion eigenvalue.
+
+    They stop on ``|step| <= 1e-16 * max(floor, |x|)``, an absolute test
+    for roots below ``floor``.
+    """
     best = x
     best_res = abs(_horner(coeffs, x))
     for _ in range(12):
@@ -77,7 +81,7 @@ def _polish(coeffs: list, deriv: list, x: float) -> float:
         res = abs(_horner(coeffs, x))
         if res < best_res:
             best, best_res = x, res
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
+        if abs(step) <= 1e-16 * max(floor, abs(x)):
             break
     return best
 
@@ -185,4 +189,6 @@ def unique_positive_root(coefficients) -> float:
         raise RootStructureError("expected one positive root, found none")
     if pos.size > 1:
         raise RootStructureError("expected one positive root, found %d: %s" % (pos.size, pos))
-    return float(pos[0])
+    # The companion polish stops on an absolute step, which leaves a root
+    # far below 1 coarse; finish it on a relative step.
+    return _polish(plain, np.polyder(coeffs).tolist(), float(pos[0]), 0.0)

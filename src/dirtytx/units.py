@@ -8,6 +8,8 @@ and once on the way out.
 
 import numpy as np
 
+__all__ = ["db_to_linear", "linear_to_db", "dbm_to_watt", "watt_to_dbm"]
+
 WATT_PER_DBM_REF = 1e-3
 
 

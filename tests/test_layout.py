@@ -1,5 +1,6 @@
 """Source-layout guards."""
 
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dirtytx"
@@ -14,3 +15,23 @@ def test_source_lines_fit_in_100_columns():
     ]
     assert sorted(SRC.glob("*.py"))
     assert not long, "lines over 100 characters: %s" % ", ".join(long)
+
+
+def test_package_exports_match_modules():
+    # Each module's __all__ is the one list of its public names, and the
+    # package republishes exactly their union.
+    import dirtytx
+
+    names = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("__init__", "cli", "version"):
+            continue
+        module = importlib.import_module("dirtytx." + path.stem)
+        assert hasattr(module, "__all__"), "%s declares no __all__" % path.name
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, "%s lacks %s" % (path.name, ", ".join(missing))
+        names += module.__all__
+    expected = names + ["__version__"]
+    assert len(set(expected)) == len(expected), "a public name is declared twice"
+    assert sorted(dirtytx.__all__) == sorted(expected)
+    assert all(hasattr(dirtytx, name) for name in dirtytx.__all__)

@@ -20,9 +20,9 @@ from dirtytx import (
     internal_covariance,
     linear_to_db,
     sixth_moment_matrix,
-    unit_internal_covariance,
     watt_to_dbm,
 )
+from dirtytx.model import _internal_powers
 from oracles import FeedbackDivergenceError, effective_linear_gain, linear_output_covariance
 
 
@@ -48,18 +48,21 @@ class TestCouplingMatrix:
         assert_allclose(q[0, 0], np.sqrt(1000.0), rtol=1e-12)
 
     def test_singular_coupling_rejected(self):
+        """Both the coupling matrix and the internal covariance built on it raise."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ModelValidityWarning)
             hw = HardwareConfig(gamma=(1.0, 1.0), kappa=(1.0, 1.0), rho=(0.0, 0.0), sigma_w2=1e-4)
         with pytest.raises(SingularCouplingError):
             coupling_matrix(hw)
+        with pytest.raises(SingularCouplingError):
+            internal_covariance(hw, SignalSpec(p_x=1e-3))
 
 
 class TestInternalCovariance:
     def test_no_crosstalk_entries(self):
         hw = HardwareConfig(gamma=(2.0, 3.0), kappa=(0.0, 0.0), rho=(-0.01, -0.01), sigma_w2=1e-4)
         sig = SignalSpec(p_x=1.0, beta=0.8, xi=0.3 + 0.4j)
-        t = unit_internal_covariance(hw, sig)
+        t = internal_covariance(hw, sig, 1.0)
         assert_allclose(t[0, 0], 4.0, rtol=1e-15)
         assert_allclose(t[0, 1], 2.0 * 3.0 * 0.8 * (0.3 + 0.4j), rtol=1e-15)
         assert_allclose(t[1, 1], 9.0 * 0.64, rtol=1e-15)
@@ -69,18 +72,18 @@ class TestInternalCovariance:
             gamma=(2.0, 3.0), kappa=(0.02 + 0.01j, 0.01), rho=(-0.01, -0.01), sigma_w2=1e-4
         )
         sig = SignalSpec(p_x=1.0, beta=0.0, xi=0.0)
-        t = unit_internal_covariance(hw, sig)
+        t = internal_covariance(hw, sig, 1.0)
         assert_allclose(t[1, 1], 4.0 * 9.0 * abs(0.02 + 0.01j) ** 2, rtol=1e-14)
 
     def test_reference_symmetric_diagonal(self, symmetric_hw, symmetric_sig):
-        t = unit_internal_covariance(symmetric_hw, symmetric_sig)
+        t = internal_covariance(symmetric_hw, symmetric_sig, 1.0)
         expect = 1000.0 * (1.0 + 1000.0 * 1e-5)
         assert_allclose(t[0, 0], expect, rtol=1e-12)
         assert_allclose(t[1, 1], expect, rtol=1e-12)
 
     def test_matches_quadratic_form(self):
-        # The entrywise closed forms and the matrix product must agree
-        # exactly, not just approximately.
+        # The scalar diagonal behind the NMSE polynomials against the
+        # diagonal of the matrix product.
         rng = np.random.default_rng(11)
         for _ in range(50):
             g = rng.uniform(0.5, 40.0, size=2)
@@ -99,10 +102,10 @@ class TestInternalCovariance:
                 beta=rng.uniform(0.1, 2.0),
                 xi=complex(radius * np.exp(1j * rng.uniform(0, 2 * np.pi))),
             )
-            u = internal_covariance(hw, sig)
+            t = _internal_powers(*hw.gamma, *hw.kappa, sig.beta, sig.xi)
             q = coupling_matrix(hw)
-            ref = sig.p_x * (q @ sig.covariance_shape() @ q.conj().T)
-            assert_allclose(u, ref, rtol=1e-12, atol=1e-15 * abs(u[0, 0]))
+            ref = np.diagonal(q @ sig.covariance_shape() @ q.conj().T).real
+            assert_allclose(t, ref, rtol=1e-14)
 
     def test_scales_linearly_with_power(self, symmetric_hw, symmetric_sig):
         u1 = internal_covariance(symmetric_hw, symmetric_sig, 1e-3)
@@ -243,6 +246,23 @@ class TestConfigValidation:
     def test_positive_rho_rejected(self):
         with pytest.raises(ValueError):
             HardwareConfig(gamma=(1.0, 1.0), kappa=(0.0, 0.0), rho=(0.01, -0.01), sigma_w2=1e-4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        good = dict(gamma=(1.0, 1.0), kappa=(0.0, 0.0), rho=(-0.01, -0.01), sigma_w2=1e-4)
+        for key, value in [
+            ("gamma", (1.0, bad)),
+            ("kappa", (bad, 0.0)),
+            ("kappa", (0.0, complex(0.0, bad))),
+            ("rho", (-0.01, -bad)),
+            ("rho", (bad, -0.01)),
+            ("sigma_w2", bad),
+        ]:
+            with pytest.raises(ValueError):
+                HardwareConfig(**{**good, key: value})
+        for fields in [dict(p_x=bad), dict(beta=bad), dict(xi=bad), dict(xi=complex(0.0, bad))]:
+            with pytest.raises(ValueError):
+                SignalSpec(**{"p_x": 1e-3, **fields})
 
     def test_loop_gain_warning(self):
         with pytest.warns(ModelValidityWarning):

@@ -128,6 +128,21 @@ class TestCouplingMatrixM:
             SignalSpecM(c_x_shape=2.0 * np.eye(2), p_x=1e-3)
         with pytest.raises(ValueError):
             SignalSpecM(c_x_shape=np.eye(2), p_x=-1.0)
+        good = dict(gamma=np.ones(2), kappa=good_kappa, rho=-np.full(2, 0.02), sigma_w2=1e-4)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SignalSpecM(c_x_shape=np.eye(2), p_x=bad)
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                SignalSpecM(c_x_shape=np.array([[1.0, bad], [bad, 1.0]]), p_x=1e-3)
+            for key, value in [
+                ("gamma", np.array([1.0, bad])),
+                ("kappa", np.array([[0.0, bad], [0.0, 0.0]])),
+                ("rho", np.array([-0.02, -bad])),
+                ("rho", np.array([bad, -0.02])),
+                ("sigma_w2", bad),
+            ]:
+                with pytest.raises(ValueError):
+                    HardwareConfigM(**{**good, key: value})
 
 
 class TestTwoBranchSpecialization:

@@ -11,7 +11,6 @@ from dirtytx import (
     approx_nmse1,
     dbm_to_watt,
     empirical_nmse,
-    error_covariance_diag,
     minmax_backoff,
     nmse_branches,
     nmse_second_derivative,
@@ -34,14 +33,14 @@ class TestErrorCovariance:
     def test_thermal_only(self):
         hw = HardwareConfig(gamma=(5.0, 5.0), kappa=(0.0, 0.0), rho=(0.0, 0.0), sigma_w2=2e-4)
         sig = SignalSpec(p_x=1e-3)
-        e11, e22 = error_covariance_diag(hw, sig)
-        assert e11 == 2e-4
-        assert e22 == 2e-4
+        rep = nmse_branches(hw, sig)
+        assert rep.e11 == 2e-4
+        assert rep.e22 == 2e-4
 
     def test_isolated_compressive_branch(self):
         hw = HardwareConfig(gamma=(3.0, 3.0), kappa=(0.0, 0.0), rho=(-0.1, -0.1), sigma_w2=1e-4)
         p = 2e-3
-        e11, _ = error_covariance_diag(hw, SignalSpec(p_x=p))
+        e11 = nmse_branches(hw, SignalSpec(p_x=p)).e11
         assert_allclose(e11, 6.0 * 0.01 * 3.0 ** 6 * p ** 3 + 1e-4, rtol=1e-14)
 
     def test_against_simulation(self, symmetric_hw):
@@ -50,7 +49,8 @@ class TestErrorCovariance:
         sig = SignalSpec(p_x=dbm_to_watt(-6.0))
         batch = simulate_batch(symmetric_hw, sig, n=10 ** 5, seed=90210)
         n1, n2 = empirical_nmse(batch, symmetric_hw, sig)
-        e11, e22 = error_covariance_diag(symmetric_hw, sig)
+        rep = nmse_branches(symmetric_hw, sig)
+        e11, e22 = rep.e11, rep.e22
         g2 = symmetric_hw.gamma[0] ** 2
         e11_mc = n1 * g2 * sig.p_x
         e22_mc = n2 * g2 * sig.p_x

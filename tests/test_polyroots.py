@@ -200,6 +200,9 @@ class TestClosedFormCubic:
         [2e-300, 0.0, 0.036, -0.3],
         [1e-200, 1.0, 0.0, -1.0],
         [1e-200, -1.0, 0.0, -1.0],
+        # Too wide a span for the closed form; the companion root 1e-90
+        # sits far below 1, where a step test only absolute stops early.
+        [1e-300, 1e10, 1e-10, -1e-100],
     ])
     def test_tiny_leading_coefficient_keeps_its_degree(self, coeffs):
         exact = exact_positive_root(coeffs)
