@@ -155,16 +155,17 @@ class SignalSpec:
         return self.p_x * self.covariance_shape()
 
 
-def coupling_matrix(hw: HardwareConfig) -> np.ndarray:
+def coupling_matrix(hw) -> np.ndarray:
     """First-order gain matrix from transmitter inputs to amplifier inputs.
 
     Closing the crosstalk loop to first order in the (small) crosstalk
-    scalings gives a constant 2x2 map whose off-diagonal entries carry
-    the leakage of the opposite stream.
+    scalings gives a constant map whose off-diagonal entries carry the
+    leakage of the other streams.  ``hw`` is a :class:`HardwareConfig`
+    or an ``mxm.HardwareConfigM`` of any branch count.
     """
-    q = (np.eye(2) + hw.feedback_matrix) * hw.gain_vector
-    det = q[0, 0] * q[1, 1] - q[0, 1] * q[1, 0]
-    if abs(det) < 1e-12 * np.linalg.norm(q):
+    gains = np.asarray(hw.gamma, dtype=float)
+    q = (np.eye(gains.size) + hw.feedback_matrix) * gains
+    if abs(np.linalg.det(q)) < 1e-12 * np.linalg.norm(q) ** gains.size:
         raise SingularCouplingError("coupling matrix is numerically singular")
     return q
 

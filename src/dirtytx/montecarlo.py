@@ -161,16 +161,20 @@ class SampleBatch:
         return float(1.0 - np.mean(self.converged))
 
 
-def _simulate(gamma, k, rho, q, cov, sigma_w2, n, seed) -> SampleBatch:
-    """Chunked Monte-Carlo core for any branch count.
+def _simulate(hw, sig, n, seed) -> SampleBatch:
+    """Chunked Monte-Carlo core for either pair of containers, any branch count.
 
-    Draws inputs with covariance ``cov``, solves the feedback system
-    ``u = gamma x + k r(u)`` (``r`` the amplifier output) chunk by chunk
-    from the linearized start ``q x``, enforces the failure-rate limit
-    and adds thermal noise of variance ``sigma_w2``.
+    Draws inputs with covariance ``sig.covariance()``, solves the
+    feedback system ``u = gamma x + k r(u)`` (``k`` the feedback matrix,
+    ``r`` the amplifier output) chunk by chunk from the linearized start
+    ``Q x``, enforces the failure-rate limit and adds thermal noise of
+    variance ``hw.sigma_w2``.
     """
+    gamma = np.asarray(hw.gamma, dtype=float)
+    rho = np.asarray(hw.rho, dtype=float)
+    k, q = hw.feedback_matrix, coupling_matrix(hw)
     rng = np.random.default_rng(seed)
-    x = _draw_inputs(cov, n, rng)
+    x = _draw_inputs(sig.covariance(), n, rng)
     m = x.shape[1]
 
     u = np.empty_like(x)
@@ -187,7 +191,7 @@ def _simulate(gamma, k, rho, q, cov, sigma_w2, n, seed) -> SampleBatch:
 
     r = _pa_output(u, rho)
     w = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) * np.sqrt(
-        sigma_w2 / 2.0
+        hw.sigma_w2 / 2.0
     )
     return SampleBatch(x=x, u=u, r=r, y=r + w, seed=seed, converged=converged)
 
@@ -198,10 +202,7 @@ def simulate_batch(hw: HardwareConfig, sig: SignalSpec, n: int, seed) -> SampleB
     Aborts with :class:`ConvergenceError` when more than 0.1 percent of
     the samples fail to converge, reporting the failure count.
     """
-    return _simulate(
-        hw.gain_vector, hw.feedback_matrix, hw.rho_vector, coupling_matrix(hw),
-        sig.covariance(), hw.sigma_w2, n, seed,
-    )
+    return _simulate(hw, sig, n, seed)
 
 
 def _converged_only(batch: SampleBatch):

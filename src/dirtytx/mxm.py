@@ -5,11 +5,13 @@ use the branch count, so the M-branch versions are assembled from the
 same pieces: a linearized coupling matrix, the Gaussian moment
 identities, and per-branch error polynomials in the reference power.
 The min-max back-off is the exact candidate solver of :mod:`nmse`, with
-no bisection.  Only the exact SE-optimal precoder stays two-branch
-specific (its candidate enumeration grows combinatorially); the
-matched-filter baselines generalize directly.  Monte-Carlo batches and
-their sample NMSE run on the same chunked, failure-guarded core as the
-two-branch simulator in :mod:`montecarlo`.
+no bisection.  The first-order coupling matrix is
+:func:`model.coupling_matrix`, and the matched-filter baselines are the
+:mod:`precoding` designs themselves, which take hardware of any branch
+count.  Only the exact SE-optimal precoder stays two-branch specific
+(its candidate enumeration grows combinatorially).  Monte-Carlo batches
+and their sample NMSE run on the same chunked, failure-guarded core as
+the two-branch simulator in :mod:`montecarlo`.
 """
 
 from dataclasses import dataclass
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFiniteOptimumError, SingularCouplingError
+from .model import coupling_matrix
 from .montecarlo import SampleBatch, _empirical_nmse, _simulate
 from .nmse import _minmax
-from .precoding import ChannelSpec, PrecoderSolution
-from .precoding import _conventional_mrt_engine, _da_mrt_engine
+from .precoding import ChannelSpec, PrecoderSolution, conventional_mrt, distortion_aware_mrt
 
 __all__ = [
     "HardwareConfigM",
@@ -132,14 +134,14 @@ def signal_from_pair(sig) -> SignalSpecM:
 def build_q_m(hw: HardwareConfigM, exact: bool = False) -> np.ndarray:
     """Linearized coupling matrix for M branches.
 
-    The default keeps the first order in the crosstalk, matching the
-    two-branch analysis entry for entry.  ``exact=True`` instead inverts
-    the linear feedback loop completely, which differs at second order.
+    The default is :func:`model.coupling_matrix`, the first order in the
+    crosstalk.  ``exact=True`` instead inverts the linear feedback loop
+    completely, which differs at second order.  Both raise
+    :class:`SingularCouplingError` on a singular matrix.
     """
-    eye = np.eye(hw.n_branches)
     if not exact:
-        return (eye + hw.feedback_matrix) * hw.gamma
-    mat = eye - hw.feedback_matrix
+        return coupling_matrix(hw)
+    mat = np.eye(hw.n_branches) - hw.feedback_matrix
     cond_scale = np.linalg.norm(mat)
     if cond_scale == 0 or np.linalg.matrix_rank(mat) < hw.n_branches:
         raise SingularCouplingError("feedback loop matrix is singular")
@@ -202,19 +204,14 @@ def minmax_backoff_m(hw: HardwareConfigM, spec: SignalSpecM) -> float:
 def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, PrecoderSolution]:
     """Matched-filter baselines for an M-branch transmitter.
 
-    Returns the conventional fixed-direction design and the
-    distortion-aware line search, keyed ``"conventional"`` and
-    ``"distortion_aware"``.
+    Returns :func:`precoding.conventional_mrt` and
+    :func:`precoding.distortion_aware_mrt` on ``hw``, keyed
+    ``"conventional"`` and ``"distortion_aware"``.
     """
-    if channel.n_branches != hw.n_branches:
-        raise ValueError("channel length must match the branch count")
-    if not np.all(hw.rho < 0):
-        raise ValueError("all branches must be strictly compressive")
-    q = build_q_m(hw)
-    h = channel.h
-    conventional = _conventional_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-    aware = _da_mrt_engine(q, h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-    return {"conventional": conventional, "distortion_aware": aware}
+    return {
+        "conventional": conventional_mrt(channel, hw),
+        "distortion_aware": distortion_aware_mrt(channel, hw),
+    }
 
 
 def simulate_batch_m(hw: HardwareConfigM, spec: SignalSpecM, n: int, seed) -> SampleBatch:
@@ -224,9 +221,7 @@ def simulate_batch_m(hw: HardwareConfigM, spec: SignalSpecM, n: int, seed) -> Sa
     as the two-branch batch; the linearized coupling matrix only seeds
     the iteration.
     """
-    return _simulate(
-        hw.gamma, hw.feedback_matrix, hw.rho, build_q_m(hw), spec.covariance(), hw.sigma_w2, n, seed
-    )
+    return _simulate(hw, spec, n, seed)
 
 
 def empirical_nmse_m(batch: SampleBatch, hw: HardwareConfigM, spec: SignalSpecM) -> np.ndarray:

@@ -8,8 +8,10 @@ form, maximizes it exactly over the two-branch candidate set, and
 implements the two maximum-ratio baselines (conventional and
 distortion-aware).
 
-The amplitude engines are written for any branch count; the exact
-candidate-set optimizer is specific to two branches.
+Every design takes either hardware container, :class:`HardwareConfig`
+or ``mxm.HardwareConfigM``, and shares one input check.  The
+matched-filter designs and their curves run for any branch count; the
+exact candidate-set optimizer is specific to two branches.
 """
 
 import warnings
@@ -115,7 +117,8 @@ def _sndr(c_eff, h, h_tilde, sigma2):
 
 def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
     """Scalar-form SNDR of an effective precoder ``c_eff = Q c``."""
-    h_tilde, sigma2 = _noise_terms(channel.h, hw.rho_vector, hw.sigma_w2, channel.sigma_n2)
+    rho = np.asarray(hw.rho, dtype=float)
+    h_tilde, sigma2 = _noise_terms(channel.h, rho, hw.sigma_w2, channel.sigma_n2)
     return float(_sndr(np.asarray(c_eff, dtype=complex), channel.h, h_tilde, sigma2))
 
 
@@ -150,18 +153,19 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
     )
 
 
-def _two_branch(channel: ChannelSpec, hw: HardwareConfig):
-    """Inputs ``(q, h, rho, sigma_w2, sigma_n2)`` of a two-branch design.
+def _design_inputs(channel: ChannelSpec, hw):
+    """Inputs ``(q, h, rho, h_tilde, sigma2)`` of a design, any branch count.
 
-    Every two-branch design takes a two-entry channel and two strictly
+    Every design takes one channel entry per branch and strictly
     compressive branches; anything else raises ``ValueError``.
     """
-    if channel.n_branches != 2:
-        raise ValueError("two-branch designs need a two-entry channel")
-    rho = hw.rho_vector
+    rho = np.asarray(hw.rho, dtype=float)
+    if channel.n_branches != rho.size:
+        raise ValueError("channel length must match the branch count")
     if not np.all(rho < 0):
-        raise ValueError("both branches must be strictly compressive")
-    return coupling_matrix(hw), channel.h, rho, hw.sigma_w2, channel.sigma_n2
+        raise ValueError("all branches must be strictly compressive")
+    h = channel.h
+    return (coupling_matrix(hw), h, rho, *_noise_terms(h, rho, hw.sigma_w2, channel.sigma_n2))
 
 
 def _amp_cubic_root(gain2: float, rho_l: float, sigma2: float) -> float:
@@ -199,11 +203,13 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     the other amplitude is free, are not among the candidates.  On the
     opposed sheet such a point can beat every candidate, so on some
     channels the result is not the maximum over the feasible set
-    ``|c_eff,l|^2 <= 1/(2|rho_l|)``.
+    ``|c_eff,l|^2 <= 1/(2|rho_l|)``.  Hardware of any other branch count
+    raises ``ValueError``.
     """
-    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
+    q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
+    if rho.size != 2:
+        raise ValueError("the optimal precoder needs exactly two branches")
     r1, r2 = rho
-    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
     g1, g2 = np.abs(h_tilde)
 
     # Relative phase that aligns both branches at the receiver; the
@@ -267,8 +273,15 @@ def _mrt_direction(q: np.ndarray, h: np.ndarray) -> np.ndarray:
     return q @ h.conj() / ref
 
 
-def _conventional_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
-    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
+def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
+    """Best transmit power along the plain matched-filter precoder.
+
+    The ray SNDR is a rational function of the ray power whose interior
+    stationary points are quartic roots; the best root is returned.  A
+    ray with no positive stationary point is flagged as a boundary case
+    rather than silently clipped.
+    """
+    q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
     c_hat = _mrt_direction(q, h)
     k0 = np.dot(h, c_hat)
     k1 = np.dot(h_tilde, np.abs(c_hat) ** 2 * c_hat)
@@ -292,17 +305,6 @@ def _conventional_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
     rows = np.sqrt(powers)[:, None] * c_hat
     best = int(np.argmax(_sndr(rows, h, h_tilde, sigma2)))
     return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "conv_mrt[p=%.6g]" % powers[best])
-
-
-def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
-    """Best transmit power along the plain matched-filter precoder.
-
-    The ray SNDR is a rational function of the ray power whose interior
-    stationary points are quartic roots; the best root is returned.  A
-    ray with no positive stationary point is flagged as a boundary case
-    rather than silently clipped.
-    """
-    return _conventional_mrt_engine(*_two_branch(channel, hw))
 
 
 def _da_family(q, h, rho, h_tilde, sigma2):
@@ -338,13 +340,6 @@ def _da_family(q, h, rho, h_tilde, sigma2):
     return etas, rows, _sndr(rows, h, h_tilde, sigma2)
 
 
-def _da_mrt_engine(q, h, rho, sigma_w2, sigma_n2) -> PrecoderSolution:
-    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
-    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
-    best = int(np.argmax(scores))
-    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % etas[best])
-
-
 def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
     """Line search over the distortion-aware matched-filter family.
 
@@ -353,7 +348,10 @@ def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSo
     to the channel under the actual (compressed) Bussgang gains; the
     grid argmax of SE is returned.
     """
-    return _da_mrt_engine(*_two_branch(channel, hw))
+    q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
+    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
+    best = int(np.argmax(scores))
+    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % etas[best])
 
 
 def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
@@ -363,8 +361,8 @@ def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     useful for sweep plots where the family is compared against
     fixed-power baselines.
     """
-    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
-    etas, rows, scores = _da_family(q, h, rho, *_noise_terms(h, rho, sigma_w2, sigma_n2))
+    q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
+    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
     c_rows = np.linalg.solve(q, rows.T).T
     return etas, np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores)
 
@@ -381,10 +379,9 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
     this is the ``se-mrt-sweep`` check that perfbench's ``small-calls``
     workload fails at seeds 29 and 30.
     """
-    q, h, rho, sigma_w2, sigma_n2 = _two_branch(channel, hw)
+    q, h, _, h_tilde, sigma2 = _design_inputs(channel, hw)
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid < 0):
         raise ValueError("ray powers must be non-negative")
-    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
     rows = np.sqrt(p_grid)[:, None] * _mrt_direction(q, h)
     return np.log2(1.0 + _sndr(rows, h, h_tilde, sigma2))

@@ -105,6 +105,11 @@ class TestCouplingMatrixM:
         )
         with pytest.raises(SingularCouplingError):
             build_q_m(hw, exact=True)
+        # The first-order matrix [[1, 1], [1, 1]] is singular too.
+        with pytest.raises(SingularCouplingError):
+            build_q_m(hw)
+        with pytest.raises(SingularCouplingError):
+            mrt_variants_m(ChannelSpec(h=np.array([1.0, 0.5j]), sigma_n2=1.0), hw)
 
     def test_config_validation(self):
         good_kappa = np.zeros((2, 2), dtype=complex)

@@ -5,12 +5,14 @@ from numpy.testing import assert_allclose
 from dirtytx import (
     ChannelSpec,
     HardwareConfig,
+    HardwareConfigM,
     achievable_se,
     conventional_mrt,
     coupling_matrix,
     dbm_to_watt,
     distortion_aware_curve,
     distortion_aware_mrt,
+    hardware_from_pair,
     mrt_ray_curve,
     optimal_precoder,
     perturbation_se,
@@ -342,8 +344,7 @@ class TestConventionalMrt:
 
 def family(ch, hw):
     """The distortion-aware family's ``(etas, rows, sndr)`` on ``ch``."""
-    q, h, rho, sigma_w2, sigma_n2 = precoding._two_branch(ch, hw)
-    return precoding._da_family(q, h, rho, *precoding._noise_terms(h, rho, sigma_w2, sigma_n2))
+    return precoding._da_family(*precoding._design_inputs(ch, hw))
 
 
 class TestDistortionAwareMrt:
@@ -423,5 +424,65 @@ def test_two_branch_entry_check(design):
     for rho in ((0.0, -0.02), (-0.02, 0.0), (0.0, 0.0)):
         with pytest.raises(ValueError, match="strictly compressive"):
             design(ch, reference_hw(rho=rho))
-    with pytest.raises(ValueError, match="two-entry channel"):
-        design(ChannelSpec(h=np.ones(3, dtype=complex), sigma_n2=1.0), reference_hw())
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="channel length must match the branch count"):
+            design(ChannelSpec(h=np.ones(m, dtype=complex), sigma_n2=1.0), reference_hw())
+    with pytest.raises(ValueError, match="channel length must match the branch count"):
+        design(ch, three_branch_hw())
+
+
+def three_branch_hw(rng=None):
+    """Three-branch hardware, with random weak crosstalk when ``rng`` is given."""
+    kappa = np.zeros((3, 3), dtype=complex)
+    if rng is not None:
+        kappa = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) * 1e-3
+        np.fill_diagonal(kappa, 0.0)
+    return HardwareConfigM(
+        gamma=np.sqrt([1000.0, 800.0, 1200.0]),
+        kappa=kappa,
+        rho=np.array([-0.025, -0.02, -0.03]),
+        sigma_w2=1e-4,
+    )
+
+
+def same_result(a, b):
+    """Bit-for-bit equality of two design results (solutions or curve tuples)."""
+    if isinstance(a, precoding.PrecoderSolution):
+        return (
+            a.provenance == b.provenance and a.valid == b.valid and a.se == b.se
+            and a.sndr == b.sndr and np.array_equal(a.c_eff, b.c_eff)
+            and np.array_equal(a.c, b.c) and np.array_equal(a.bussgang_gains, b.bussgang_gains)
+        )
+    a, b = (a, b) if isinstance(a, tuple) else ((a,), (b,))
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+class TestAnyBranchCount:
+    def test_lifted_pair_is_bit_identical(self):
+        # The two-branch container and its M-branch lift take the same
+        # path through every design, so every output bit must agree.
+        rng = np.random.default_rng(1907)
+        for _ in range(10):
+            hw = random_hardware(rng)
+            ch = ChannelSpec(h=random_channels(rng, 1)[0], sigma_n2=10.0 ** rng.uniform(-1, 1))
+            for name, design in TWO_BRANCH_DESIGNS.items():
+                assert same_result(design(ch, hw), design(ch, hardware_from_pair(hw))), name
+
+    def test_three_branches(self):
+        rng = np.random.default_rng(1913)
+        hw = three_branch_hw(rng)
+        for h in random_channels(rng, 5, m=3):
+            ch = ChannelSpec(h=h, sigma_n2=1.0)
+            conv, aware = conventional_mrt(ch, hw), distortion_aware_mrt(ch, hw)
+            for sol in (conv, aware):
+                assert sol.c_eff.shape == (3,) and sol.valid
+                assert_allclose(coupling_matrix(hw) @ sol.c, sol.c_eff, rtol=1e-12)
+                assert sol.sndr == sndr(sol.c_eff, ch, hw)
+            etas, p_x, se = distortion_aware_curve(ch, hw)
+            assert etas.shape == p_x.shape == se.shape == (200,)
+            assert_allclose(np.max(se), aware.se, rtol=1e-12)
+            ray = mrt_ray_curve(ch, hw, np.geomspace(1e-5, 1e-1, 50))
+            assert ray.shape == (50,) and np.all(np.isfinite(ray))
+            assert np.max(ray) <= conv.se + 1e-9
+            with pytest.raises(ValueError, match="exactly two branches"):
+                optimal_precoder(ch, hw)
