@@ -64,11 +64,11 @@ def _horner(coeffs, x: float) -> float:
     return acc
 
 
-def _polish(coeffs: list, deriv: list, x: float, floor: float = 1.0) -> float:
+def _polish(coeffs: list, deriv: list, x: float) -> float:
     """A few guarded Newton steps around a companion eigenvalue.
 
-    They stop on ``|step| <= 1e-16 * max(floor, |x|)``, an absolute test
-    for roots below ``floor``.
+    They stop on the relative step ``|step| <= 1e-16 * |x|``, so a root
+    far below 1 is refined to its own scale.
     """
     best = x
     best_res = abs(_horner(coeffs, x))
@@ -81,7 +81,7 @@ def _polish(coeffs: list, deriv: list, x: float, floor: float = 1.0) -> float:
         res = abs(_horner(coeffs, x))
         if res < best_res:
             best, best_res = x, res
-        if abs(step) <= 1e-16 * max(floor, abs(x)):
+        if abs(step) <= 1e-16 * abs(x):
             break
     return best
 
@@ -189,6 +189,4 @@ def unique_positive_root(coefficients) -> float:
         raise RootStructureError("expected one positive root, found none")
     if pos.size > 1:
         raise RootStructureError("expected one positive root, found %d: %s" % (pos.size, pos))
-    # The companion polish stops on an absolute step, which leaves a root
-    # far below 1 coarse; finish it on a relative step.
-    return _polish(plain, np.polyder(coeffs).tolist(), float(pos[0]), 0.0)
+    return float(pos[0])

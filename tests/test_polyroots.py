@@ -87,6 +87,14 @@ class TestRealRoots:
         report = real_roots([0.0, 1.0, -3.0])
         assert_allclose(report.roots, [3.0], rtol=1e-12)
 
+    def test_tiny_root_polished_to_its_own_scale(self):
+        # 1e10 x^2 + 1e-10 x - 1e-100 has the roots about -1e-20 and
+        # 1e-90; a step test absolute below 1 stopped the polish at 1.67e-52.
+        coeffs = [1e10, 1e-10, -1e-100]
+        exact = exact_positive_root(coeffs)
+        pos = real_roots(coeffs).positive_roots
+        assert pos.size == 1 and abs(pos[0] - exact) <= 1e-15 * exact
+
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DegeneratePolynomialError):
             real_roots([0.0, 0.0, 0.0])
@@ -201,7 +209,7 @@ class TestClosedFormCubic:
         [1e-200, 1.0, 0.0, -1.0],
         [1e-200, -1.0, 0.0, -1.0],
         # Too wide a span for the closed form; the companion root 1e-90
-        # sits far below 1, where a step test only absolute stops early.
+        # sits far below 1, where the polish needs a relative step test.
         [1e-300, 1e10, 1e-10, -1e-100],
     ])
     def test_tiny_leading_coefficient_keeps_its_degree(self, coeffs):
