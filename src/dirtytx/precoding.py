@@ -63,8 +63,8 @@ class ChannelSpec:
             raise ValueError("channel entries must be finite")
         if np.linalg.norm(h) == 0:
             raise ValueError("channel must not be identically zero")
-        if not self.sigma_n2 > 0:
-            raise ValueError("receiver noise variance must be positive")
+        if not 0 < self.sigma_n2 < np.inf:
+            raise ValueError("receiver noise variance must be positive and finite")
         object.__setattr__(self, "h", h)
 
     @property

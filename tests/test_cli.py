@@ -119,8 +119,10 @@ class TestRunCommand:
 class TestExitCodes:
     @pytest.mark.parametrize(
         "raw",
-        [b"{", b'{"experiment": "se-average", "x": "\xe9"}'],
-        ids=["invalid-json", "non-utf8"],
+        # A config output is read only without --out, so it is probed here.
+        [b"{", b'{"experiment": "se-average", "x": "\xe9"}',
+         b'{"experiment": "backoff-vs-gain", "output": 5}'],
+        ids=["invalid-json", "non-utf8", "numeric-output"],
     )
     def test_config_error_exits_two(self, tmp_path, capsys, raw):
         bad = tmp_path / "bad.json"
@@ -211,6 +213,16 @@ class TestExitCodes:
             {"experiment": "se-vs-crosstalk", "signal": None, "sweep": {"crosstalk2": [-50.0]},
              "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]),
              "channel_distribution": {"count": 2, "sigma_n2": 1e-3}},
+            # Malformed blocks and fields that only parsing sees.
+            {"hardware": 5},
+            {"units": dict(UNITS, **{"hardware.gain2": "dBm"})},
+            {"hardware": dict(HW_BLOCK, rho=5)},
+            {"experiment": "nmse-sweep", "sweep": {"p_x": "abc", "crosstalk2": [-50.0]},
+             "n_samples": 200},
+            {"signal": {"beta": 1.0, "xi": [2, 0]}},
+            {"experiment": "se-perturbation", "signal": None, "sweep": None,
+             "channel": dict(CHANNEL, h=[[0.0, 0.0], [0.0, 0.0]])},
+            {"format": "xml"},
         ],
         ids=["string", "nan", "infinity", "bool-count", "nan-overridden", "experiment-list",
              "unit-list", "negative-hardware-gain", "negative-sweep-crosstalk", "unknown-unit-path",
@@ -221,7 +233,9 @@ class TestExitCodes:
              "zero-noise-channel-perturbation", "negative-power-gaussian",
              "zero-power-gaussian", "negative-power-nmse-sweep", "zero-power-nmse-sweep",
              "negative-power-mrt-sweep", "zero-beta-backoff", "zero-rho-average",
-             "zero-rho-perturbation", "zero-rho-mrt-sweep", "zero-rho-vs-crosstalk"],
+             "zero-rho-perturbation", "zero-rho-mrt-sweep", "zero-rho-vs-crosstalk",
+             "hardware-not-object", "power-unit-on-gain", "scalar-rho", "string-power-sweep",
+             "xi-above-one", "zero-channel", "unknown-format"],
     )
     def test_malformed_number_exits_two(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)

@@ -75,6 +75,10 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigError):
             run_experiment({"experiment": "mystery"})
 
+    def test_non_object_config(self):
+        with pytest.raises(ConfigError, match="must be an object"):
+            run_experiment([])
+
     def test_unknown_top_level_key(self):
         cfg = {
             "experiment": "se-average",

@@ -12,8 +12,10 @@ from dirtytx import (
     dbm_to_watt,
     empirical_nmse,
     minmax_backoff,
+    nmse,
     nmse_branches,
     nmse_second_derivative,
+    polyroots,
     simulate_batch,
     siso_optimal_power,
     watt_to_dbm,
@@ -257,6 +259,24 @@ class TestMinmaxBackoff:
         assert sol.active_case == "balanced"
         rep = nmse_branches(asymmetric_hw, asymmetric_sig, sol.p_x_opt)
         assert abs(rep.nmse1 - rep.nmse2) <= 1e-6 * rep.worst
+
+    def test_unbalanced_crossing_is_discarded(self, asymmetric_hw, asymmetric_sig, monkeypatch):
+        # A crossing root whose two branch NMSEs disagree is a root-finder
+        # artefact: it is dropped with a warning and the optimum stands.
+        ref = minmax_backoff(asymmetric_hw, asymmetric_sig)
+        assert ref.active_case == "balanced"
+
+        def with_spurious_root(coeffs):
+            rep = polyroots.real_roots(coeffs)
+            return polyroots.RootReport(
+                rep.coefficients, np.append(rep.roots, 3.0 * ref.p_x_opt),
+                np.append(rep.residuals, 0.0),
+            )
+
+        monkeypatch.setattr(nmse, "real_roots", with_spurious_root)
+        with pytest.warns(UserWarning, match="discarding crossing candidate"):
+            sol = minmax_backoff(asymmetric_hw, asymmetric_sig)
+        assert sol == ref
 
     def test_matches_grid_oracle(self, asymmetric_hw, asymmetric_sig):
         sol = minmax_backoff(asymmetric_hw, asymmetric_sig)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dirtytx import (
+    BussgangGainWarning,
     ChannelSpec,
     HardwareConfig,
     HardwareConfigM,
@@ -36,6 +37,25 @@ def reference_hw(rho=(-0.025, -0.025)):
         rho=rho,
         sigma_w2=1e-4,
     )
+
+
+class TestChannelSpec:
+    @pytest.mark.parametrize("h, match", [
+        (np.ones((2, 2)), "1-D"),
+        (np.array([]), "1-D"),
+        (np.array([1.0, np.nan]), "finite"),
+        (np.array([1.0, 1j * np.inf]), "finite"),
+        (np.zeros(2), "identically zero"),
+    ], ids=["matrix", "empty", "nan", "inf", "zero"])
+    def test_channel_rejected(self, h, match):
+        with pytest.raises(ValueError, match=match):
+            ChannelSpec(h=h, sigma_n2=1.0)
+
+    @pytest.mark.parametrize("sigma_n2", [0.0, -1.0, np.inf, np.nan])
+    def test_noise_variance_rejected(self, sigma_n2):
+        # An infinite variance used to reach np.roots in optimal_precoder.
+        with pytest.raises(ValueError, match="positive and finite"):
+            ChannelSpec(h=np.array([1.0, 1j]), sigma_n2=sigma_n2)
 
 
 class TestSndr:
@@ -486,3 +506,16 @@ class TestAnyBranchCount:
             assert np.max(ray) <= conv.se + 1e-9
             with pytest.raises(ValueError, match="exactly two branches"):
                 optimal_precoder(ch, hw)
+
+
+def test_saturated_solution_is_flagged():
+    # No design has been seen to return a branch past saturation, so the
+    # flag is probed on the shared finishing step directly.
+    ch = ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
+    q, h, rho, h_tilde, sigma2 = precoding._design_inputs(ch, reference_hw())
+    sat = np.sqrt(1.0 / (2.0 * 0.025))
+    c_eff = np.array([1.5 * sat, 0.5 * sat], dtype=complex)
+    with pytest.warns(BussgangGainWarning, match="past saturation"):
+        sol = precoding._finalize(c_eff, q, h, h_tilde, sigma2, rho, "probe")
+    assert sol.valid is False
+    assert sol.bussgang_gains[0] < 0 < sol.bussgang_gains[1]
