@@ -155,7 +155,7 @@ def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM):
     ``l`` has error variance ``cubic[l] p^3 + quadratic[l] p^2 +
     linear[l] p + sigma_w2`` and NMSE ``error / (denom[l] p)``.
     """
-    q = build_q_m(hw)
+    q = coupling_matrix(hw)
     l_mat = np.diag(hw.gamma)
     s = spec.c_x_shape
     rho = hw.rho
