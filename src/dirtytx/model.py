@@ -108,14 +108,6 @@ class HardwareConfig:
         return self.crosstalk_product <= SMALL_ERROR_LIMIT
 
     @property
-    def gain_vector(self) -> np.ndarray:
-        return np.array(self.gamma, dtype=float)
-
-    @property
-    def rho_vector(self) -> np.ndarray:
-        return np.array(self.rho, dtype=float)
-
-    @property
     def feedback_matrix(self) -> np.ndarray:
         """Linear feedback map from amplifier outputs back to inputs."""
         g1, g2 = self.gamma
@@ -165,7 +157,10 @@ def coupling_matrix(hw) -> np.ndarray:
     """
     gains = np.asarray(hw.gamma, dtype=float)
     q = (np.eye(gains.size) + hw.feedback_matrix) * gains
-    if abs(np.linalg.det(q)) < 1e-12 * np.linalg.norm(q) ** gains.size:
+    # With unit columns |det| lies in [0, 1] for any branch count (Hadamard),
+    # so the test is scale-free and cannot overflow.  No column is zero: its
+    # diagonal entry is a positive gain.
+    if abs(np.linalg.det(q / np.linalg.norm(q, axis=0))) < 1e-12:
         raise SingularCouplingError("coupling matrix is numerically singular")
     return q
 
@@ -275,8 +270,9 @@ def build_model(hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None) -
     p = sig.p_x if p_x is None else p_x
     q = coupling_matrix(hw)
     u_cov = internal_covariance(hw, sig, p)
-    gains = bussgang_gains(u_cov, hw.rho_vector)
-    v_cov = distortion_covariance(u_cov, hw.rho_vector)
+    rho = np.asarray(hw.rho, dtype=float)
+    gains = bussgang_gains(u_cov, rho)
+    v_cov = distortion_covariance(u_cov, rho)
     return BussgangModel(
         hw=hw, sig=sig, p_x=p, coupling=q, u_cov=u_cov, gains=gains, distortion_cov=v_cov
     )

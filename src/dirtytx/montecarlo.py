@@ -240,7 +240,7 @@ def empirical_nmse(batch: SampleBatch, hw: HardwareConfig, sig: SignalSpec):
     powers = (sig.p_x, sig.p_x * sig.beta ** 2)
     if powers[0] <= 0 or powers[1] <= 0:
         raise ValueError("empirical NMSE needs positive branch powers")
-    n1, n2 = _empirical_nmse(batch, hw.gain_vector, powers)
+    n1, n2 = _empirical_nmse(batch, np.asarray(hw.gamma, dtype=float), powers)
     return float(n1), float(n2)
 
 

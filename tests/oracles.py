@@ -52,9 +52,8 @@ def solve_feedback(x, hw: HardwareConfig):
     Returns ``(u, converged)`` with shapes matching the input layout.
     """
     arr = np.atleast_2d(np.asarray(x, dtype=complex))
-    u, converged = _solve_chunk(
-        arr, hw.gain_vector, hw.feedback_matrix, hw.rho_vector, coupling_matrix(hw)
-    )
+    gamma, rho = np.asarray(hw.gamma, dtype=float), np.asarray(hw.rho, dtype=float)
+    u, converged = _solve_chunk(arr, gamma, hw.feedback_matrix, rho, coupling_matrix(hw))
     if np.ndim(x) == 1:
         return u[0], bool(converged[0])
     return u, converged
@@ -223,7 +222,7 @@ def sndr_matrix(c, channel, hw) -> float:
     c = np.asarray(c, dtype=complex)
     c_eff = q @ c
     u_cov = np.outer(c_eff, c_eff.conj())
-    rho = hw.rho_vector
+    rho = np.asarray(hw.rho, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BussgangGainWarning)
         gains = bussgang_gains(u_cov, rho)

@@ -84,7 +84,7 @@ class TestSolveFeedback:
         x = sample_inputs(SignalSpec(p_x=1e-3), 400, 1301)
         u, converged = solve_feedback(x, hw)
         assert converged.all()
-        assert np.array_equal(u, x * hw.gain_vector)
+        assert np.array_equal(u, x * np.asarray(hw.gamma, dtype=float))
 
     def test_linear_amplifier_closed_form(self):
         # With the cubic term off the loop is linear and the solution is
@@ -97,7 +97,7 @@ class TestSolveFeedback:
         )
         x = sample_inputs(SignalSpec(p_x=1e-3), 500, 1303)
         u, converged = solve_feedback(x, hw)
-        lmat = np.diag(hw.gain_vector)
+        lmat = np.diag(np.asarray(hw.gamma, dtype=float))
         expect = x @ np.linalg.solve(np.eye(2) - hw.feedback_matrix, lmat).T
         assert converged.all()
         assert np.max(np.abs(u - expect)) < 1e-8 * np.max(np.abs(expect))
@@ -110,8 +110,8 @@ class TestSolveFeedback:
 
     @staticmethod
     def relative_residual(x, u, hw):
-        r = u + hw.rho_vector * u * np.abs(u) ** 2
-        lhs = u - (x * hw.gain_vector + r @ hw.feedback_matrix.T)
+        r = u + np.asarray(hw.rho, dtype=float) * u * np.abs(u) ** 2
+        lhs = u - (x * np.asarray(hw.gamma, dtype=float) + r @ hw.feedback_matrix.T)
         return np.linalg.norm(lhs, axis=1) / np.linalg.norm(u, axis=1)
 
     def test_residual_meets_advertised_tolerance(self):

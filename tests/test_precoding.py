@@ -7,14 +7,18 @@ from dirtytx import (
     ChannelSpec,
     HardwareConfig,
     HardwareConfigM,
+    SignalSpecM,
     achievable_se,
+    build_q_m,
     conventional_mrt,
     coupling_matrix,
     dbm_to_watt,
     distortion_aware_curve,
     distortion_aware_mrt,
     hardware_from_pair,
+    minmax_backoff_m,
     mrt_ray_curve,
+    mrt_variants_m,
     optimal_precoder,
     perturbation_se,
     sndr,
@@ -506,6 +510,23 @@ class TestAnyBranchCount:
             assert np.max(ray) <= conv.se + 1e-9
             with pytest.raises(ValueError, match="exactly two branches"):
                 optimal_precoder(ch, hw)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-4])
+    def test_many_branches(self, scale):
+        # |det Q| is capped by the product of Q's column norms (Hadamard),
+        # so the singular test must scale with that product: one scaled by
+        # a power of the Frobenius norm rejects Q = gamma I from M = 19 on.
+        m = 24
+        rng = np.random.default_rng(2417)
+        kappa = scale * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        np.fill_diagonal(kappa, 0.0)
+        hw = HardwareConfigM(
+            gamma=np.full(m, np.sqrt(1000.0)), kappa=kappa, rho=np.full(m, -0.025), sigma_w2=1e-4
+        )
+        assert_allclose(np.diag(build_q_m(hw)), hw.gamma, rtol=1e-12)
+        assert 0 < minmax_backoff_m(hw, SignalSpecM(c_x_shape=np.eye(m), p_x=1e-3)) < np.inf
+        ch = ChannelSpec(h=random_channels(rng, 1, m=m)[0], sigma_n2=1.0)
+        assert all(sol.valid for sol in mrt_variants_m(ch, hw).values())
 
 
 def test_saturated_solution_is_flagged():
