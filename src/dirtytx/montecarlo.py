@@ -10,9 +10,9 @@ The solver runs damped fixed-point sweeps from the linearized output,
 checked every few sweeps, and one batched Newton solve for the
 stragglers.  Randomness is consumed in a fixed order (inputs first,
 thermal noise second) and samples are solved in fixed-size chunks.
-The two-branch :func:`simulate_batch` and the M-branch
-``mxm.simulate_batch_m`` are thin wrappers over one branch-count
-agnostic core, so both get the same chunking and failure-rate guard.
+:func:`simulate_batch` and :func:`empirical_nmse` take either pair of
+containers, of any branch count; the M-branch ``mxm.simulate_batch_m``
+and ``mxm.empirical_nmse_m`` are single calls to them.
 """
 
 import math
@@ -161,14 +161,16 @@ class SampleBatch:
         return float(1.0 - np.mean(self.converged))
 
 
-def _simulate(hw, sig, n, seed) -> SampleBatch:
-    """Chunked Monte-Carlo core for either pair of containers, any branch count.
+def simulate_batch(hw: HardwareConfig, sig: SignalSpec, n: int, seed) -> SampleBatch:
+    """Draw inputs, solve the exact feedback system and add thermal noise.
 
-    Draws inputs with covariance ``sig.covariance()``, solves the
-    feedback system ``u = gamma x + k r(u)`` (``k`` the feedback matrix,
-    ``r`` the amplifier output) chunk by chunk from the linearized start
-    ``Q x``, enforces the failure-rate limit and adds thermal noise of
-    variance ``hw.sigma_w2``.
+    Takes either pair of containers, of any branch count.  Draws inputs
+    with covariance ``sig.covariance()``, solves the feedback system
+    ``u = gamma x + k r(u)`` (``k`` the feedback matrix, ``r`` the
+    amplifier output) chunk by chunk from the linearized start ``Q x``
+    and adds thermal noise of variance ``hw.sigma_w2``.  Aborts with
+    :class:`ConvergenceError` when more than 0.1 percent of the samples
+    fail to converge, reporting the failure count.
     """
     gamma = np.asarray(hw.gamma, dtype=float)
     rho = np.asarray(hw.rho, dtype=float)
@@ -196,15 +198,6 @@ def _simulate(hw, sig, n, seed) -> SampleBatch:
     return SampleBatch(x=x, u=u, r=r, y=r + w, seed=seed, converged=converged)
 
 
-def simulate_batch(hw: HardwareConfig, sig: SignalSpec, n: int, seed) -> SampleBatch:
-    """Draw inputs, solve the exact feedback system and add thermal noise.
-
-    Aborts with :class:`ConvergenceError` when more than 0.1 percent of
-    the samples fail to converge, reporting the failure count.
-    """
-    return _simulate(hw, sig, n, seed)
-
-
 def _converged_only(batch: SampleBatch):
     if batch.n == 0:
         raise ValueError("empty batch")
@@ -214,14 +207,17 @@ def _converged_only(batch: SampleBatch):
     return mask
 
 
-def _empirical_nmse(batch: SampleBatch, gamma, powers) -> np.ndarray:
+def empirical_nmse(batch: SampleBatch, hw: HardwareConfig, sig: SignalSpec) -> np.ndarray:
     """Per-branch sample NMSE against the ideal outputs ``gamma x``.
 
-    ``powers[l]`` is the configured input power of branch ``l``; silent
-    branches get an infinite NMSE.  Columns are reduced one at a time
-    so each mean is the same pairwise sum whatever the branch count.
+    Uses the noisy outputs; branch powers are the diagonal of the
+    configured covariance, and silent branches get an infinite NMSE.
+    Columns are reduced one at a time so each mean is the same pairwise
+    sum whatever the branch count.
     """
     mask = _converged_only(batch)
+    gamma = np.asarray(hw.gamma, dtype=float)
+    powers = np.real(np.diag(sig.covariance()))
     err = batch.y[mask] - batch.x[mask] * gamma
     out = np.full(err.shape[1], np.inf)
     for ell in range(err.shape[1]):
@@ -229,19 +225,6 @@ def _empirical_nmse(batch: SampleBatch, gamma, powers) -> np.ndarray:
             mean_err = float(np.mean(np.abs(err[:, ell]) ** 2))
             out[ell] = mean_err / (gamma[ell] * gamma[ell] * powers[ell])
     return out
-
-
-def empirical_nmse(batch: SampleBatch, hw: HardwareConfig, sig: SignalSpec):
-    """Sample-mean normalized error powers ``(nmse1, nmse2)``.
-
-    Uses the noisy outputs and the ideal linear references; branch
-    powers follow the configured covariance scaling.
-    """
-    powers = (sig.p_x, sig.p_x * sig.beta ** 2)
-    if powers[0] <= 0 or powers[1] <= 0:
-        raise ValueError("empirical NMSE needs positive branch powers")
-    n1, n2 = _empirical_nmse(batch, np.asarray(hw.gamma, dtype=float), powers)
-    return float(n1), float(n2)
 
 
 def covariance_mismatch(batch: SampleBatch, hw: HardwareConfig) -> float:

@@ -10,8 +10,8 @@ no bisection.  The first-order coupling matrix is
 :mod:`precoding` designs themselves, which take hardware of any branch
 count.  Only the exact SE-optimal precoder stays two-branch specific
 (its candidate enumeration grows combinatorially).  Monte-Carlo batches
-and their sample NMSE run on the same chunked, failure-guarded core as
-the two-branch simulator in :mod:`montecarlo`.
+and their sample NMSE are the :mod:`montecarlo` entries themselves,
+which take containers of any branch count.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NoFiniteOptimumError, SingularCouplingError
 from .model import coupling_matrix
-from .montecarlo import SampleBatch, _empirical_nmse, _simulate
+from .montecarlo import SampleBatch, empirical_nmse, simulate_batch
 from .nmse import _minmax
 from .precoding import ChannelSpec, PrecoderSolution, conventional_mrt, distortion_aware_mrt
 
@@ -215,15 +215,10 @@ def mrt_variants_m(channel: ChannelSpec, hw: HardwareConfigM) -> dict[str, Preco
 
 
 def simulate_batch_m(hw: HardwareConfigM, spec: SignalSpecM, n: int, seed) -> SampleBatch:
-    """Exact nonlinear feedback simulation for M branches.
-
-    Same chunked solver, randomness discipline and failure-rate guard
-    as the two-branch batch; the linearized coupling matrix only seeds
-    the iteration.
-    """
-    return _simulate(hw, spec, n, seed)
+    """Exact nonlinear feedback simulation for M branches: :func:`montecarlo.simulate_batch`."""
+    return simulate_batch(hw, spec, n, seed)
 
 
 def empirical_nmse_m(batch: SampleBatch, hw: HardwareConfigM, spec: SignalSpecM) -> np.ndarray:
-    """Sample NMSE per branch from an M-branch batch."""
-    return _empirical_nmse(batch, hw.gamma, spec.p_x * np.real(np.diag(spec.c_x_shape)))
+    """Sample NMSE per branch from an M-branch batch: :func:`montecarlo.empirical_nmse`."""
+    return empirical_nmse(batch, hw, spec)

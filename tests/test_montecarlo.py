@@ -230,6 +230,42 @@ class TestEmpiricalNmse:
         assert abs(n1 / expect - 1.0) < 0.02
         assert abs(n2 / expect - 1.0) < 0.02
 
+    @staticmethod
+    def column_nmse(batch, gamma, powers):
+        # The per-column reduction, with the branch powers passed in.
+        err = batch.y - batch.x * gamma
+        return [float(np.mean(np.abs(err[:, ell]) ** 2)) / (gamma[ell] * gamma[ell] * p)
+                for ell, p in enumerate(powers)]
+
+    def test_any_container_pair_gives_the_same_bits(self):
+        # The powers read from sig.covariance() round exactly like the
+        # two-branch (p_x, p_x beta^2) and the M-branch p_x diag(shape).
+        rng = np.random.default_rng(3310)
+        for i in range(6):
+            hw = HardwareConfig(
+                gamma=tuple(rng.uniform(10.0, 40.0, 2)),
+                kappa=tuple(1e-3 * np.exp(2j * np.pi * rng.random(2))),
+                rho=tuple(-rng.uniform(0.005, 0.05, 2)),
+                sigma_w2=1e-4,
+            )
+            sig = SignalSpec(p_x=dbm_to_watt(rng.uniform(-20.0, 0.0)),
+                             beta=rng.uniform(0.3, 2.0), xi=0.5 * rng.random())
+            hw_m, spec = hardware_from_pair(hw), signal_from_pair(sig)
+            batch = simulate_batch(hw, sig, 3000, 3310 + i)
+            gamma = np.asarray(hw.gamma, dtype=float)
+            pair = self.column_nmse(batch, gamma, (sig.p_x, sig.p_x * sig.beta ** 2))
+            lifted = self.column_nmse(
+                batch, hw_m.gamma, spec.p_x * np.real(np.diag(spec.c_x_shape)))
+            assert np.array_equal(empirical_nmse(batch, hw, sig), pair)
+            assert np.array_equal(empirical_nmse(batch, hw_m, spec), lifted)
+
+    def test_silent_branch_is_infinite(self):
+        hw = make_symmetric_hw()
+        sig = SignalSpec(p_x=1e-3, beta=0.0)
+        values = empirical_nmse(simulate_batch(hw, sig, 256, 3311), hw, sig)
+        assert np.isfinite(values[0])
+        assert np.isinf(values[1])
+
     @pytest.mark.parametrize("p_dbm", [-20.0, -10.0, 0.0])
     def test_matches_analytic_curve_within_a_db(self, p_dbm):
         hw = make_symmetric_hw()
