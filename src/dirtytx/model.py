@@ -42,6 +42,9 @@ __all__ = [
 # Loop gain |gamma1*gamma2*kappa1*kappa2| above which the first-order
 # linearization of the crosstalk feedback starts to lose accuracy.
 SMALL_ERROR_LIMIT = 0.01
+# Complex rounding can lift a loop gain set exactly at the limit by an
+# ulp or two, so the limit is tested with this relative margin.
+_LIMIT_MARGIN = 1e-12
 
 
 class ModelValidityWarning(UserWarning):
@@ -88,7 +91,7 @@ class HardwareConfig:
         loop = self.crosstalk_product
         if not loop < inf:
             raise ValueError("crosstalk loop gain must be finite")
-        if loop > SMALL_ERROR_LIMIT:
+        if not self.small_error_ok:
             warnings.warn(
                 "loop gain |g1*g2*k1*k2| = %.3g exceeds %.3g; linearized "
                 "statistics may be inaccurate" % (loop, SMALL_ERROR_LIMIT),
@@ -105,7 +108,7 @@ class HardwareConfig:
 
     @property
     def small_error_ok(self) -> bool:
-        return self.crosstalk_product <= SMALL_ERROR_LIMIT
+        return self.crosstalk_product <= SMALL_ERROR_LIMIT * (1.0 + _LIMIT_MARGIN)
 
     @property
     def feedback_matrix(self) -> np.ndarray:
@@ -153,8 +156,13 @@ def coupling_matrix(hw) -> np.ndarray:
     Closing the crosstalk loop to first order in the (small) crosstalk
     scalings gives a constant map whose off-diagonal entries carry the
     leakage of the other streams.  ``hw`` is a :class:`HardwareConfig`
-    or an ``mxm.HardwareConfigM`` of any branch count.
+    or an ``mxm.HardwareConfigM`` of any branch count.  The matrix is
+    derived once per (frozen) container and returned read-only on
+    later calls; a singular one raises on every call.
     """
+    q = vars(hw).get("_coupling")
+    if q is not None:
+        return q
     gains = np.asarray(hw.gamma, dtype=float)
     q = (np.eye(gains.size) + hw.feedback_matrix) * gains
     # With unit columns |det| lies in [0, 1] for any branch count (Hadamard),
@@ -162,6 +170,9 @@ def coupling_matrix(hw) -> np.ndarray:
     # diagonal entry is a positive gain.
     if abs(np.linalg.det(q / np.linalg.norm(q, axis=0))) < 1e-12:
         raise SingularCouplingError("coupling matrix is numerically singular")
+    q.flags.writeable = False
+    # Kept beside the dataclass fields, so equality and repr ignore it.
+    object.__setattr__(hw, "_coupling", q)
     return q
 
 

@@ -53,9 +53,11 @@ class HardwareConfigM:
     sigma_w2: float
 
     def __post_init__(self):
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        kappa = np.asarray(self.kappa, dtype=complex)
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=float))
+        # Copies, never views of the caller's arrays: they are frozen below
+        # so that the cached coupling matrix cannot go stale.
+        gamma = np.atleast_1d(np.array(self.gamma, dtype=float))
+        kappa = np.array(self.kappa, dtype=complex)
+        rho = np.atleast_1d(np.array(self.rho, dtype=float))
         m = gamma.size
         if kappa.shape != (m, m):
             raise ValueError("crosstalk matrix shape must match the gain count")
@@ -70,9 +72,9 @@ class HardwareConfigM:
             raise ValueError("compression coefficients must be finite and <= 0")
         if not 0 < self.sigma_w2 < np.inf:
             raise ValueError("noise variance must be positive and finite")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "rho", rho)
+        for name, value in (("gamma", gamma), ("kappa", kappa), ("rho", rho)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def n_branches(self) -> int:

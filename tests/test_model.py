@@ -57,6 +57,25 @@ class TestCouplingMatrix:
         with pytest.raises(SingularCouplingError):
             internal_covariance(hw, SignalSpec(p_x=1e-3))
 
+    def test_derived_once_and_read_only(self, symmetric_hw):
+        q = coupling_matrix(symmetric_hw)
+        assert coupling_matrix(symmetric_hw) is q
+        with pytest.raises(ValueError):
+            q[0, 1] = 0.0
+        # The cache is not a field: equal containers stay equal.
+        fresh = HardwareConfig(symmetric_hw.gamma, symmetric_hw.kappa, symmetric_hw.rho,
+                               symmetric_hw.sigma_w2)
+        assert fresh == symmetric_hw
+        assert repr(fresh) == repr(symmetric_hw)
+
+    def test_singular_container_raises_every_call(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ModelValidityWarning)
+            hw = HardwareConfig(gamma=(1.0, 1.0), kappa=(1.0, 1.0), rho=(0.0, 0.0), sigma_w2=1e-4)
+        for _ in range(2):
+            with pytest.raises(SingularCouplingError):
+                coupling_matrix(hw)
+
 
 class TestInternalCovariance:
     def test_no_crosstalk_entries(self):
@@ -267,6 +286,30 @@ class TestConfigValidation:
     def test_loop_gain_warning(self):
         with pytest.warns(ModelValidityWarning):
             HardwareConfig(gamma=(10.0, 10.0), kappa=(0.05, 0.05), rho=(0.0, 0.0), sigma_w2=1e-4)
+
+    def test_loop_gain_at_the_limit_stays_silent(self):
+        # 30 dB gains with -48/-52 dB crosstalk put the loop gain exactly
+        # at the limit; random phases round it up by an ulp or so.
+        rng = np.random.default_rng(0)
+        gamma = (float(np.sqrt(db_to_linear(30.0))),) * 2
+        mags = [float(np.sqrt(db_to_linear(k))) for k in (-48.0, -52.0)]
+        over = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelValidityWarning)
+            for _ in range(200):
+                phase = (rng.uniform(0.2, 3.0), -rng.uniform(0.2, 3.0))
+                hw = HardwareConfig(
+                    gamma=gamma,
+                    kappa=tuple(a * np.exp(1j * p) for a, p in zip(mags, phase)),
+                    rho=(-0.023, -0.027),
+                    sigma_w2=1e-4,
+                )
+                over += hw.crosstalk_product > 0.01
+                assert hw.small_error_ok
+        assert over > 0
+        with pytest.warns(ModelValidityWarning):
+            HardwareConfig(gamma=gamma, kappa=(mags[0] * 1.001, mags[1]),
+                           rho=(-0.023, -0.027), sigma_w2=1e-4)
 
     def test_reference_setup_inside_validity_region(self, symmetric_hw):
         assert symmetric_hw.small_error_ok

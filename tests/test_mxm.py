@@ -150,6 +150,23 @@ class TestCouplingMatrixM:
                     HardwareConfigM(**{**good, key: value})
 
 
+    def test_arrays_are_read_only_copies(self):
+        gamma, rho = np.full(3, 30.0), np.full(3, -0.02)
+        kappa = np.full((3, 3), 1e-3 + 0j)
+        np.fill_diagonal(kappa, 0.0)
+        hw = HardwareConfigM(gamma=gamma, kappa=kappa, rho=rho, sigma_w2=1e-4)
+        q = coupling_matrix(hw)
+        assert coupling_matrix(hw) is q and build_q_m(hw) is q
+        for name in ("gamma", "kappa", "rho"):
+            with pytest.raises(ValueError):
+                getattr(hw, name)[1] = 0.0
+        # The caller's arrays stay writable and do not reach the container.
+        gamma[1] = 10.0
+        kappa[0, 1] = 0.5
+        assert hw.gamma[1] == 30.0 and hw.kappa[0, 1] == 1e-3
+        assert np.array_equal(coupling_matrix(hw), q)
+
+
 class TestTwoBranchSpecialization:
     def test_nmse_matches_dedicated_module(self):
         rng = np.random.default_rng(4305)
