@@ -282,6 +282,14 @@ def _parse_signal(cfg):
         raise ConfigError("invalid signal: %s" % exc) from exc
 
 
+def _parse_active_signal(cfg, user):
+    """Input statistics for a runner that needs power on both branches."""
+    sig = _parse_signal(cfg)
+    if not sig.beta > 0:
+        raise ConfigError("%s needs both branches active (signal.beta > 0)" % user)
+    return sig
+
+
 def _parse_channel_distribution(cfg, units):
     dist = _section(cfg, "channel_distribution", ("count", "sigma_n2"))
     count = _get(dist, "channel_distribution.count", read=_count)
@@ -330,7 +338,7 @@ def _run_gaussian_validation(cfg, units, seed):
 
 def _run_nmse_sweep(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
-    sig0 = _parse_signal(cfg)
+    sig0 = _parse_active_signal(cfg, "the NMSE sweep")
     sweep = _section(cfg, "sweep", ("p_x", "crosstalk2"))
     p_grid = _grid(sweep, "sweep.p_x", units.power)
     k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)
@@ -360,9 +368,7 @@ def _run_nmse_sweep(cfg, units, seed):
 
 def _run_backoff_vs_gain(cfg, units, seed):
     parts = _parse_hardware(cfg, units)
-    sig0 = _parse_signal(cfg)
-    if not sig0.beta > 0:
-        raise ConfigError("the back-off needs both branches active (signal.beta > 0)")
+    sig0 = _parse_active_signal(cfg, "the back-off")
     sweep = _section(cfg, "sweep", ("gain2", "crosstalk2"))
     g_grid = _grid(sweep, "sweep.gain2", units.ratio)
     k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)

@@ -200,8 +200,10 @@ class TestExitCodes:
              "n_samples": 200},
             {"experiment": "se-mrt-sweep", "signal": None, "sweep": {"p_x": [-0.001]},
              "channel": CHANNEL},
-            # The back-off needs both branches active.
+            # The back-off and the NMSE sweep need both branches active.
             {"signal": {"beta": 0, "xi": 0.0}},
+            {"experiment": "nmse-sweep", "signal": {"beta": 0, "xi": 0.0},
+             "sweep": {"p_x": [1e-3], "crosstalk2": [-50.0]}, "n_samples": 200},
             # The SE designs need both branches strictly compressive.
             {"experiment": "se-average", "signal": None, "sweep": None,
              "hardware": dict(HW_BLOCK, rho=[0.0, -0.02]),
@@ -232,7 +234,8 @@ class TestExitCodes:
              "zero-noise-distribution-average", "zero-noise-distribution-vs-crosstalk",
              "zero-noise-channel-perturbation", "negative-power-gaussian",
              "zero-power-gaussian", "negative-power-nmse-sweep", "zero-power-nmse-sweep",
-             "negative-power-mrt-sweep", "zero-beta-backoff", "zero-rho-average",
+             "negative-power-mrt-sweep", "zero-beta-backoff", "zero-beta-nmse-sweep",
+             "zero-rho-average",
              "zero-rho-perturbation", "zero-rho-mrt-sweep", "zero-rho-vs-crosstalk",
              "hardware-not-object", "power-unit-on-gain", "scalar-rho", "string-power-sweep",
              "xi-above-one", "zero-channel", "unknown-format"],

@@ -313,6 +313,19 @@ class TestGaussianValidation:
         ks = np.array([row[2:6] for row in table.rows])
         assert ks.max() < 0.1
 
+    def test_silent_second_branch_is_accepted(self):
+        # Only the NMSE runners need power on both branches.
+        cfg = {
+            "experiment": "gaussian-validation",
+            "seed": 4,
+            "hardware": HW_BLOCK,
+            "units": dict(UNITS, **{"p_x_points": "dBm"}),
+            "signal": {"beta": 0.0, "xi": 0.0},
+            "p_x_points": [-10.0],
+            "n_samples": 500,
+        }
+        assert len(run_experiment(cfg).rows) == 1
+
     def test_empty_point_list_rejected(self):
         cfg = {
             "experiment": "gaussian-validation",
