@@ -1,5 +1,6 @@
 """Tests for the exact-feedback sampler and its empirical statistics."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -371,6 +372,24 @@ class TestEmpiricalCdfDistance:
         dist = empirical_cdf_distance(batch, build_model(hw, sig))
         assert dist.shape == (2, 2)
         assert dist.max() < 0.02
+
+    def test_point_mass_branch(self):
+        # Without crosstalk a silent branch stays exactly at zero, which
+        # is the point mass the model predicts.
+        hw = HardwareConfig(gamma=(30.0, 30.0), kappa=(0.0, 0.0), rho=(-0.02, -0.02),
+                            sigma_w2=1e-4)
+        sig = SignalSpec(p_x=1e-3, beta=0.0)
+        model = build_model(hw, sig)
+        batch = simulate_batch(hw, sig, 2000, 3)
+        dist = empirical_cdf_distance(batch, model)
+        assert np.all(dist[0] > 0) and np.all(dist[0] < 0.05)
+        assert np.array_equal(dist[1], [0.0, 0.0])
+        # Against the point mass the gap is the larger share on either side.
+        u = batch.u.copy()
+        u[:, 1] = np.where(np.arange(2000) < 300, -1.0 + 2.0j, 0.0)
+        u[:100, 1] = 1.0 + 1.0j
+        dist = empirical_cdf_distance(dataclasses.replace(batch, u=u), model)
+        assert np.array_equal(dist[1], [200 / 2000, 300 / 2000])
 
     def test_reference_setup_marginals_stay_near_gaussian(self):
         # Absolute bounds only.  The relative ordering between the two
