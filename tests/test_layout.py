@@ -1,5 +1,6 @@
 """Source-layout guards."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -35,3 +36,35 @@ def test_package_exports_match_modules():
     assert len(set(expected)) == len(expected), "a public name is declared twice"
     assert sorted(dirtytx.__all__) == sorted(expected)
     assert all(hasattr(dirtytx, name) for name in dirtytx.__all__)
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_private_names_cross_modules():
+    # Modules share code through public names.  The two exceptions: the
+    # M-branch back-off reuses the candidate solver whose result types
+    # differ from minmax_backoff's, and the NMSE polynomials keep their
+    # unpacked two-branch fast path.
+    allowed = {("mxm", "nmse._minmax"), ("nmse", "model._internal_powers")}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "dirtytx"):
+                source = (node.module or "").removeprefix("dirtytx").lstrip(".")
+                for alias in node.names:
+                    if source:
+                        if _private(alias.name):
+                            found.add((path.stem, "%s.%s" % (source, alias.name)))
+                    else:
+                        modules[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                found.add((path.stem, "%s.%s" % (modules[node.value.id], node.attr)))
+    assert found - allowed == set(), "private names used across modules: %s" % sorted(
+        "%s uses %s" % pair for pair in found - allowed)

@@ -1,5 +1,7 @@
 """Tests for the arbitrary-branch-count generalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,26 @@ class TestMinmaxBackoffM:
         grid = np.geomspace(1e-7, 1e-1, 2000)
         worst = np.array([np.max(nmse_branches_m(hw, spec, p)) for p in grid])
         assert achieved <= worst.min() * (1.0 + 1e-9)
+
+    def test_identical_branches_are_not_crossed(self):
+        # Branches 0 and 1 are the same polynomial, so their difference
+        # has no roots to offer; the optimum is the crossing with branch 2.
+        hw = HardwareConfigM(
+            gamma=np.array([30.0, 30.0, 45.0]),
+            kappa=np.zeros((3, 3), dtype=complex),
+            rho=np.array([-0.02, -0.02, -0.03]),
+            sigma_w2=1e-4,
+        )
+        spec = SignalSpecM(c_x_shape=np.eye(3, dtype=complex), p_x=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opt = minmax_backoff_m(hw, spec)
+        assert opt == pytest.approx(1.45116e-4, rel=1e-5)
+        cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
+        grid = np.geomspace(1e-6, 1e-2, 20001)[:, None]
+        worst = np.max((cubic * grid ** 3 + quadratic * grid ** 2 + linear * grid + hw.sigma_w2)
+                       / (denom * grid), axis=1)
+        assert np.max(nmse_branches_m(hw, spec, opt)) <= worst.min() + 1e-15
 
     def test_non_compressive_branch_raises(self):
         hw = HardwareConfigM(

@@ -121,6 +121,11 @@ class TestUniquePositiveRoot:
         vals = np.abs(np.polyval(coeffs, grid))
         assert abs(root - grid[np.argmin(vals)]) < 2.0 * (grid[1] - grid[0])
 
+    def test_negative_leading_coefficient_is_flipped(self):
+        # -2 x^3 + x^2 + 3 x + 5 has its one positive root near 1.9388.
+        coeffs = [-2.0, 1.0, 3.0, 5.0]
+        assert unique_positive_root(coeffs) == exact_positive_root(coeffs)
+
     def test_no_positive_root_raises(self):
         with pytest.raises(RootStructureError):
             unique_positive_root([1.0, 0.0, 0.0, 8.0])
