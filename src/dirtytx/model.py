@@ -43,8 +43,8 @@ __all__ = [
 # linearization of the crosstalk feedback starts to lose accuracy.
 SMALL_ERROR_LIMIT = 0.01
 # Complex rounding can lift a loop gain set exactly at the limit by an
-# ulp or two, so the limit is tested with this relative margin.
-_LIMIT_MARGIN = 1e-12
+# ulp or two, so the limit is tested with a relative margin.
+_WARN_ABOVE = SMALL_ERROR_LIMIT * (1.0 + 1e-12)
 
 
 class ModelValidityWarning(UserWarning):
@@ -91,7 +91,7 @@ class HardwareConfig:
         loop = self.crosstalk_product
         if not loop < inf:
             raise ValueError("crosstalk loop gain must be finite")
-        if not self.small_error_ok:
+        if loop > _WARN_ABOVE:
             warnings.warn(
                 "loop gain |g1*g2*k1*k2| = %.3g exceeds %.3g; linearized "
                 "statistics may be inaccurate" % (loop, SMALL_ERROR_LIMIT),
@@ -108,7 +108,7 @@ class HardwareConfig:
 
     @property
     def small_error_ok(self) -> bool:
-        return self.crosstalk_product <= SMALL_ERROR_LIMIT * (1.0 + _LIMIT_MARGIN)
+        return self.crosstalk_product <= _WARN_ABOVE
 
     @property
     def feedback_matrix(self) -> np.ndarray:
