@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoFiniteOptimumError
 from .model import HardwareConfig, SignalSpec, _internal_powers
-from .polyroots import real_roots, unique_positive_root
+from .polyroots import best_candidate, real_roots, unique_positive_root
 from .units import linear_to_db
 
 __all__ = [
@@ -33,6 +33,9 @@ __all__ = [
 # Relative tolerance for accepting a balanced candidate: both branch
 # NMSEs must agree this closely at the root or the root is discarded.
 _BALANCE_TOL = 1e-6
+# Branches whose NMSE coefficients agree this closely (relative) are the
+# same branch: their difference cubic is rounding and has no crossing.
+_SAME_BRANCH_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -211,13 +214,13 @@ def _minmax(cubic, quadratic, linear, denom, sw2):
     since ``W(p_k) = N_k(p_k) <= N_k(p) <= W(p)``, and no crossing is
     solved.  Otherwise the crossing cubic of every branch pair is
     solved; a root whose two NMSEs disagree beyond ``_BALANCE_TOL`` is
-    discarded with a warning, and the crossing with the lowest worst
-    NMSE (then the smaller power) is kept.
+    discarded with a warning.  :func:`polyroots.best_candidate` ranks
+    candidates by worst NMSE, both to keep one crossing and to pick the
+    optimum.
 
     Returns ``(powers, worst, pick, tied)``: the branch minimizers, then
     the kept crossing if any; the worst NMSE at each; the index of the
-    optimum (worst NMSE within 1e-12 relative, then the smaller power,
-    then the earlier candidate); and whether distinct powers tied.
+    optimum; and ``best_candidate``'s ``tied``.
     """
 
     def branches(p):
@@ -229,31 +232,28 @@ def _minmax(cubic, quadratic, linear, denom, sw2):
     if not any(v[k] >= v.max() for k, v in enumerate(values)):
         # p * (NMSE_i - NMSE_j) as a cubic; identical branches make it vanish.
         cols = np.array([cubic, quadratic, linear, np.full_like(cubic, sw2)]).T / denom[:, None]
-        crossings = []
+        cross_worst, cross_at = [], []
         for i, j in itertools.combinations(range(len(powers)), 2):
             diff = cols[i] - cols[j]
-            if not np.any(np.abs(diff) > 1e-12 * (np.abs(cols[i]) + np.abs(cols[j]))):
+            if not np.any(np.abs(diff) > _SAME_BRANCH_REL * (np.abs(cols[i]) + np.abs(cols[j]))):
                 continue
             for p in real_roots(diff).positive_roots:
                 v = branches(p)
                 ni, nj = v[i], v[j]
                 if abs(ni - nj) <= _BALANCE_TOL * max(ni, nj):
-                    crossings.append((v.max(), p))
+                    cross_worst.append(v.max())
+                    cross_at.append(p)
                 else:
                     warnings.warn(
                         "discarding crossing candidate with unequal branch NMSEs "
                         "(relative gap %.2e)" % (abs(ni - nj) / max(ni, nj)),
                         stacklevel=3,
                     )
-        if crossings:
-            powers.append(min(crossings)[1])
+        if cross_at:
+            powers.append(cross_at[best_candidate(cross_worst, cross_at)[0]])
             values.append(branches(powers[-1]))
     worst = [v.max() for v in values]
-    best = min(worst)
-    winners = [k for k, w in enumerate(worst) if w <= best * (1.0 + 1e-12)]
-    pick = min(winners, key=lambda k: powers[k])
-    tied = len({round(powers[k], 15) for k in winners}) > 1
-    return powers, worst, pick, tied
+    return powers, worst, *best_candidate(worst, powers)
 
 
 def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
@@ -266,6 +266,8 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
     holds ``"balanced"`` only then.  Crossing candidates whose two
     branch values fail to agree within a small relative tolerance are
     discarded with a warning (they are artifacts of the root finder).
+    Ties follow :func:`polyroots.best_candidate`, whose ``tied`` flag
+    the solution carries.
     """
     if sig.beta <= 0:
         raise ValueError("min-max back-off needs both branches active (beta > 0)")

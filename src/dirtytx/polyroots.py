@@ -5,6 +5,7 @@ of degree six or less.  A cubic with one coefficient sign change (the
 amplitude and back-off stationarity cubics) has one positive root,
 taken in closed form and polished inside a sign bracket.  Other roots
 are companion-matrix eigenvalues polished by a few Newton steps.
+:func:`best_candidate` picks among the optimizers' scored candidates.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import DegeneratePolynomialError, RootStructureError
 
-__all__ = ["RootReport", "real_roots", "unique_positive_root"]
+__all__ = ["RootReport", "real_roots", "unique_positive_root", "best_candidate"]
 
 # Companion eigenvalues with an imaginary part above this (relative)
 # threshold are treated as genuinely complex and dropped.
@@ -25,6 +26,8 @@ _TRIM_TOL = 1e-13
 _RESIDUAL_TOL = 1e-8
 # The closed-form root's polish stops at a step or bracket of this many ulps.
 _ULPS = 4.0 * 2.0 ** -52
+# Candidate values, and then candidate powers, this close (relative) tie.
+_TIE_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,3 +193,24 @@ def unique_positive_root(coefficients) -> float:
     if pos.size > 1:
         raise RootStructureError("expected one positive root, found %d: %s" % (pos.size, pos))
     return float(pos[0])
+
+
+def best_candidate(values, powers) -> tuple[int, bool]:
+    """``(index, tied)`` of the best candidate: the one tie rule of the optimizers.
+
+    Values within ``1e-12 * |best|`` of the smallest tie; among them the
+    smallest power wins, powers within 1e-12 relative counting as equal;
+    then the earlier candidate.  ``tied`` says the tied candidates sit at
+    distinct powers.  A maximizer passes negated scores, and ``inf`` for a
+    candidate that must not win; no finite value raises ``ValueError``.
+    Plain Python, since the lists are short.
+    """
+    best = min(values)
+    if not math.isfinite(best):
+        raise ValueError("no candidate has a finite value")
+    cut = best + _TIE_REL * abs(best)
+    tie = [k for k, v in enumerate(values) if v <= cut]
+    low = min(powers[k] for k in tie)
+    near = low + _TIE_REL * abs(low)
+    pick = next(k for k in tie if powers[k] <= near)
+    return pick, any(powers[k] > near for k in tie)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BoundaryEvaluationError, NoFiniteOptimumError
 from .model import BussgangGainWarning, HardwareConfig, coupling_matrix
-from .polyroots import real_roots, unique_positive_root
+from .polyroots import best_candidate, real_roots, unique_positive_root
 
 __all__ = [
     "ChannelSpec",
@@ -39,7 +39,6 @@ __all__ = [
 # Bussgang gains this far below zero flag a solution as outside the
 # sensible operating region of the linearized model.
 _GAIN_TOL = 1e-12
-_TIE_REL = 1e-12
 # Provenance tags of optimal_precoder's candidates, in scoring order.
 _CANDIDATES = (
     "b2_saturation", "b2_stationary", "b1_saturation", "b1_stationary",
@@ -195,9 +194,9 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     ``|h_tilde_l|`` for branch ``l`` alone, ``|h_tilde_1| +- tau^3
     |h_tilde_2|`` on the ray, with ``rho = rho_1``.  The cubic in ``r^2``
     is increasing and non-negative at ``sat^2 / 3``, so ``r <= sat /
-    sqrt(3)`` and no two candidates coincide.  The best candidate is
-    returned; SE ties within 1e-12 go to the smaller effective power,
-    then to the earlier candidate.
+    sqrt(3)`` and no two candidates coincide.  The best candidate by
+    SNDR is returned, ties settled by :func:`polyroots.best_candidate`
+    with the norm of ``c_eff`` as the power.
 
     Edge stationary points, where one branch is pinned at saturation and
     the other amplitude is free, are not among the candidates.  On the
@@ -240,9 +239,8 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     finite = np.isfinite(s)
     if not finite.any():
         raise NoFiniteOptimumError("no candidate produced a finite SNDR")
-    best = s[finite].max()
-    top = np.flatnonzero(finite & (s >= best - _TIE_REL * max(1.0, best)))
-    pick = top[np.argmin(np.linalg.norm(cand[top], axis=1))]
+    pick, _ = best_candidate(np.where(finite, -s, np.inf).tolist(),
+                             np.linalg.norm(cand, axis=1).tolist())
     return _finalize(cand[pick], q, h, h_tilde, sigma2, rho, _CANDIDATES[pick])
 
 

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,27 @@ class TestRunCommand:
         lines = out.read_text(encoding="utf-8").splitlines()
         data = [ln for ln in lines if not ln.startswith("#")]
         assert len(data) == 1 and data[0].startswith("gain2 [dB]")
+
+    def test_zero_crosstalk_gaussian_validation_reads_the_floor(self, tmp_path, capsys):
+        # Without crosstalk the sampled and model covariances agree exactly,
+        # so the gap is 0 and its dB column reads the stated floor.
+        units = {k: v for k, v in UNITS.items() if k != "hardware.crosstalk2"}
+        cfg = write_config(
+            tmp_path,
+            experiment="gaussian-validation",
+            sweep=None,
+            hardware=dict(HW_BLOCK, crosstalk2=[0.0, 0.0]),
+            units=dict(units, p_x_points="dBm"),
+            p_x_points=[0.0],
+            n_samples=200,
+        )
+        out = tmp_path / "zero.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        row = out.read_text(encoding="utf-8").splitlines()[-1].split(",")
+        assert float(row[1]) == pytest.approx(-3076.53, abs=0.01)
 
 
 class TestExitCodes:

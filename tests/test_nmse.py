@@ -252,7 +252,21 @@ class TestMinmaxBackoff:
             dbm_to_watt(6.0),
         )
         assert_allclose(sol.p_x_opt, p_star, rtol=1e-8)
-        assert sol.active_case in ("branch1_min", "branch2_min")
+        assert sol.active_case == "branch1_min"
+        assert sol.tied is False
+
+    def test_tie_does_not_depend_on_summation_order(self):
+        # Four identical branches, the second one's cubic one ulp larger:
+        # every worst NMSE is equal and the second minimizer is one ulp
+        # lower.  Powers that close count as equal, so the first wins.
+        cubic = np.full(4, 0.1)
+        cubic[1] *= 1.0 + 2.0 ** -52
+        powers, worst, pick, tied = nmse._minmax(
+            cubic, np.full(4, 2e-3), np.full(4, 1e-6), np.ones(4), 2e-3)
+        assert len(set(worst)) == 1
+        assert powers[1] < powers[0]
+        assert pick == 0
+        assert tied is False
 
     def test_asymmetric_reference_is_balanced(self, asymmetric_hw, asymmetric_sig):
         sol = minmax_backoff(asymmetric_hw, asymmetric_sig)

@@ -12,7 +12,7 @@ from dirtytx import (
     siso_optimal_power,
 )
 from dirtytx.errors import DegeneratePolynomialError, RootStructureError
-from dirtytx.polyroots import real_roots, unique_positive_root
+from dirtytx.polyroots import best_candidate, real_roots, unique_positive_root
 from oracles import (
     exact_positive_root,
     random_channels,
@@ -178,6 +178,27 @@ class TestStructuralFamilies:
                 [2.0 * g2, 0, 0, 0, -6.0 * rho * sigma2, 0, -sigma2]
             )
             assert_allclose(np.sqrt(s), direct, rtol=1e-9)
+
+
+class TestBestCandidate:
+    def test_powers_one_ulp_apart_count_as_equal(self):
+        # The later candidate's power is one ulp lower; the earlier one wins.
+        assert best_candidate([1.0, 1.0], [1.0, np.nextafter(1.0, 0.0)]) == (0, False)
+
+    def test_equal_values_go_to_the_smaller_power(self):
+        assert best_candidate([2.0, 2.0, 3.0], [0.5, 0.25, 0.1]) == (1, True)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_tie_within_relative_tolerance(self, sign):
+        # The later candidate has the smaller value but the larger power.
+        powers = [1.0, 2.0]
+        assert best_candidate([sign, sign * (1.0 - sign * 5e-13)], powers) == (0, True)
+        assert best_candidate([sign, sign * (1.0 - sign * 1e-11)], powers) == (1, False)
+
+    def test_inf_never_wins(self):
+        assert best_candidate([np.inf, 1.0, np.inf], [0.0, 1.0, 0.5]) == (1, False)
+        with pytest.raises(ValueError, match="finite"):
+            best_candidate([np.inf, np.inf], [0.0, 1.0])
 
 
 def log_uniform(rng, lo, hi):

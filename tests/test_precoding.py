@@ -182,9 +182,12 @@ class TestOptimalPrecoder:
             for amp, sat in stationary:
                 assert amp <= sat / np.sqrt(3.0) * (1.0 + 1e-12)
             scores = [sndr_direct(row, h, hw.rho, hw.sigma_w2, sigma_n2) for row in rows]
+            # SNDR within 1e-12 relative ties; then the smaller norm, with
+            # norms within 1e-12 relative equal; then the earlier candidate.
             best = max(scores)
-            tied = [i for i, s in enumerate(scores) if s >= best - 1e-12 * max(1.0, best)]
-            pick = min(tied, key=lambda i: np.linalg.norm(rows[i]))
+            tied = [i for i, s in enumerate(scores) if s >= best * (1.0 - 1e-12)]
+            low = min(np.linalg.norm(rows[i]) for i in tied)
+            pick = next(i for i in tied if np.linalg.norm(rows[i]) <= low * (1.0 + 1e-12))
             stacks.clear()
             sol = optimal_precoder(ChannelSpec(h=h, sigma_n2=sigma_n2), hw)
             (scored,) = stacks
