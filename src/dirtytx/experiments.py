@@ -32,6 +32,7 @@ from .nmse import approx_nmse1, minmax_backoff, nmse_branches
 from .precoding import (
     ChannelSpec,
     conventional_mrt,
+    design_se,
     distortion_aware_curve,
     distortion_aware_mrt,
     mrt_ray_curve,
@@ -445,23 +446,10 @@ def _run_se_mrt_sweep(cfg, units, seed):
     return names, col_units, rows, meta
 
 
-def _design_se(hw, channels, sigma_n2):
-    """SE of the optimal, distortion-aware and conventional designs, one row per channel."""
-    se = np.empty((len(channels), 3))
-    for i, h in enumerate(channels):
-        channel = ChannelSpec(h=h, sigma_n2=sigma_n2)
-        se[i] = (
-            optimal_precoder(channel, hw).se,
-            distortion_aware_mrt(channel, hw).se,
-            conventional_mrt(channel, hw).se,
-        )
-    return se
-
-
 def _run_se_average(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
-    se = _design_se(hw, _draw_channels(seed, count), sigma_n2)
+    se = design_se(_draw_channels(seed, count), sigma_n2, hw)
     rows = [[float(i), *row] for i, row in enumerate(se)]
     names = ["channel_index", "se_optimal", "se_distortion_aware", "se_conventional"]
     col_units = ["-", "bit", "bit", "bit"]
@@ -478,7 +466,7 @@ def _run_se_vs_crosstalk(cfg, units, seed):
     channels = _draw_channels(seed, count)
     rows = []
     for k2 in k_grid:
-        se = _design_se(_build_hw(parts, kappa2=float(k2)), channels, sigma_n2)
+        se = design_se(channels, sigma_n2, _build_hw(parts, kappa2=float(k2)))
         rows.append([linear_to_db(k2), *(float(np.mean(se[:, k])) for k in range(3))])
     names = ["crosstalk2", "mean_se_optimal", "mean_se_distortion_aware", "mean_se_conventional"]
     col_units = ["dB", "bit", "bit", "bit"]

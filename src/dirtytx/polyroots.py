@@ -5,6 +5,9 @@ of degree six or less.  A cubic with one coefficient sign change (the
 amplitude and back-off stationarity cubics) has one positive root,
 taken in closed form and polished inside a sign bracket.  Other roots
 are companion-matrix eigenvalues polished by a few Newton steps.
+:func:`stacked_real_roots` and :func:`stacked_positive_roots` apply the
+same two routes to every row of a coefficient stack at once, with the
+same operations, for the batched precoder designs.
 :func:`best_candidate` picks among the optimizers' scored candidates.
 """
 
@@ -15,7 +18,14 @@ import numpy as np
 
 from .errors import DegeneratePolynomialError, RootStructureError
 
-__all__ = ["RootReport", "real_roots", "unique_positive_root", "best_candidate"]
+__all__ = [
+    "RootReport",
+    "real_roots",
+    "stacked_real_roots",
+    "unique_positive_root",
+    "stacked_positive_roots",
+    "best_candidate",
+]
 
 # Companion eigenvalues with an imaginary part above this (relative)
 # threshold are treated as genuinely complex and dropped.
@@ -118,6 +128,101 @@ def real_roots(coefficients) -> RootReport:
     return RootReport(coefficients=coeffs, roots=roots[ok], residuals=residuals[ok])
 
 
+def _horner_rows(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_horner` on arrays: row ``i`` of ``x`` against row ``i`` of ``coeffs``."""
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    acc = np.zeros_like(x)
+    for c in coeffs.T:
+        acc = acc * x + c.reshape(shape)
+    return acc
+
+
+def _polish_rows(coeffs: np.ndarray, deriv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`_polish` of each ``x[j]`` against the polynomial ``coeffs[j]``.
+
+    An entry leaves the loop where the scalar loop breaks, and also once
+    a step returns it to the point it held one or two steps before: the
+    later passes would only repeat steps already taken.
+    """
+    f = _horner_rows(coeffs, x)
+    best, best_res = x.copy(), np.abs(f)
+    idx = np.arange(x.size)
+    prev = np.full_like(x, np.nan)
+    for _ in range(12):
+        d = _horner_rows(deriv, x)
+        step = f / d
+        moved = x - step
+        f = _horner_rows(coeffs, moved)
+        res = np.abs(f)
+        turning = d != 0
+        better = turning & (res < best_res[idx])
+        best[idx[better]] = moved[better]
+        best_res[idx[better]] = res[better]
+        go = turning & ~(np.abs(step) <= 1e-16 * np.abs(moved)) & (moved != x) & (moved != prev)
+        if not go.all():
+            if not go.any():
+                break
+            idx, x, moved, f = idx[go], x[go], moved[go], f[go]
+            coeffs, deriv = coeffs[go], deriv[go]
+        x, prev = moved, x
+    return best
+
+
+def _stack(coefficients) -> np.ndarray:
+    coeffs = np.asarray(coefficients, dtype=float)
+    if coeffs.ndim != 2:
+        raise ValueError("a coefficient stack must be 2-D, one polynomial per row")
+    return coeffs
+
+
+def stacked_real_roots(coefficients) -> np.ndarray:
+    """:func:`real_roots` of every row of a ``(k, d+1)`` coefficient stack.
+
+    Row ``i`` of the ``(k, d)`` result holds
+    ``real_roots(coefficients[i]).roots`` (ascending), then NaN.  Rows
+    with finite coefficients, a leading coefficient that survives the
+    trim and a nonzero constant share one stacked companion eigenvalue
+    call and one vectorized polish, made of the same operations as the
+    single-row solver; any other row goes through :func:`real_roots`
+    itself and raises as it does.
+    """
+    coeffs = _stack(coefficients)
+    degree = coeffs.shape[1] - 1
+    out = np.full((coeffs.shape[0], max(degree, 0)), np.nan)
+    fast = np.zeros(coeffs.shape[0], dtype=bool)
+    if degree >= 1:
+        scale = np.max(np.abs(coeffs), axis=1)
+        with np.errstate(invalid="ignore"):
+            fast = (np.all(np.isfinite(coeffs), axis=1) & (coeffs[:, -1] != 0)
+                    & (np.abs(coeffs[:, 0]) > _TRIM_TOL * scale))
+    for i in np.flatnonzero(~fast):
+        roots = real_roots(coeffs[i]).roots
+        out[i, :roots.size] = roots
+    if not fast.any():
+        return out
+    coeffs, scale = coeffs[fast], scale[fast]
+    work = coeffs / scale[:, None]
+    deriv = work[:, :-1] * np.arange(degree, 0, -1)
+    companion = np.zeros((work.shape[0], degree, degree))
+    companion[:, 0, :] = -work[:, 1:] / work[:, :1]
+    sub = np.arange(degree - 1)
+    companion[:, sub + 1, sub] = 1.0
+    z = np.linalg.eigvals(companion).astype(complex)
+    real = ~(np.abs(z.imag) > _IMAG_TOL * np.maximum(1.0, np.hypot(z.real, z.imag)))
+    rows = np.nonzero(real)[0]
+    roots = np.full(z.shape, np.nan)
+    with np.errstate(all="ignore"):
+        roots[real] = _polish_rows(work[rows], deriv[rows], z.real[real])
+        roots = np.sort(roots, axis=1)
+        residuals = np.abs(_horner_rows(coeffs, roots))
+        bound = (_RESIDUAL_TOL * scale)[:, None] * np.maximum(1.0, np.abs(roots)) ** degree
+        ok = residuals <= bound
+    order = np.argsort(~ok, axis=1, kind="stable")
+    kept = np.take_along_axis(ok, order, axis=1)
+    out[fast] = np.where(kept, np.take_along_axis(roots, order, axis=1), np.nan)
+    return out
+
+
 def _cubic_positive_root(a: float, b: float, c: float, d: float) -> float:
     """The one positive root of a cubic with one coefficient sign change.
 
@@ -193,6 +298,80 @@ def unique_positive_root(coefficients) -> float:
     if pos.size > 1:
         raise RootStructureError("expected one positive root, found %d: %s" % (pos.size, pos))
     return float(pos[0])
+
+
+def _cubic_positive_roots(a, b, c, d) -> np.ndarray:
+    """:func:`_cubic_positive_root` on arrays, entry by entry.
+
+    The operations are those of the scalar form; the cube root and the
+    trigonometric start, where numpy's array loops may round differently
+    from the C library, are taken per entry in Python.
+    """
+    flip = a < 0
+    a, b, c, d = (np.where(flip, -v, v) for v in (a, b, c, d))
+    coeffs, deriv = np.stack([a, b, c, d], axis=1), np.stack([3.0 * a, 2.0 * b, c], axis=1)
+    lo, hi = np.zeros_like(a), 1.0 + np.maximum(np.maximum(np.abs(b), np.abs(c)), np.abs(d)) / a
+    b, c, d = b / a, c / a, d / a
+    shift = b / 3.0
+    p = c - b * shift
+    q = (2.0 * shift * shift - c) * shift + d
+    disc = 0.25 * q * q + p * p * p / 27.0
+    x = np.empty_like(a)
+    card = disc >= 0
+    with np.errstate(all="ignore"):
+        u = -0.5 * q[card] - np.copysign(np.sqrt(disc[card]), q[card])
+        u = np.copysign([v ** (1.0 / 3.0) for v in np.abs(u).tolist()], u)
+        x[card] = np.where(u != 0, u - p[card] / (3.0 * u), 0.0) - shift[card]
+        r = np.sqrt(-p[~card] / 3.0)
+        cos3 = np.clip(-0.5 * q[~card] / r / r / r, -1.0, 1.0)
+        x[~card] = 2.0 * r * [math.cos(math.acos(v) / 3.0) for v in cos3.tolist()] - shift[~card]
+    x = np.where((lo < x) & (x < hi), x, 0.5 * hi)
+    out = np.empty_like(a)
+    idx = np.arange(a.size)
+    for _ in range(4000):
+        f = _horner_rows(coeffs[idx], x)
+        lo, hi = np.where(f < 0, x, lo), np.where(f < 0, hi, x)
+        narrow = hi - lo <= _ULPS * hi
+        slope = _horner_rows(deriv[idx], x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(slope != 0, x - f / slope, lo)
+        near = ~narrow & (np.abs(nxt - x) <= _ULPS * x)
+        out[idx[narrow]] = 0.5 * (lo[narrow] + hi[narrow])
+        out[idx[near]] = np.minimum(np.maximum(nxt[near], lo[near]), hi[near])
+        x = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        more = ~(narrow | near)
+        if not more.any():
+            return out
+        idx, x, lo, hi = idx[more], x[more], lo[more], hi[more]
+    out[idx] = 0.5 * (lo + hi)
+    return out
+
+
+def stacked_positive_roots(coefficients) -> np.ndarray:
+    """:func:`unique_positive_root` of every row of a coefficient stack, as a ``(k,)`` array.
+
+    The cubic rows that take the closed form there are solved together,
+    with the same operations; any other row goes through
+    :func:`unique_positive_root` itself and raises as it does.
+    """
+    coeffs = _stack(coefficients)
+    closed = np.zeros(coeffs.shape[0], dtype=bool)
+    if coeffs.shape[1] == 4:
+        a, b, c, d = coeffs.T
+        signs = np.sign(coeffs)
+        prev, changes = signs[:, 0], np.zeros(coeffs.shape[0], dtype=int)
+        for col in signs.T[1:]:
+            changes += (col != 0) & (col != prev)
+            prev = np.where(col != 0, col, prev)
+        with np.errstate(all="ignore"):
+            total = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
+            closed = (a != 0) & (d != 0) & np.isfinite(total / a) & (changes == 1)
+    out = np.empty(coeffs.shape[0])
+    for i in np.flatnonzero(~closed):
+        out[i] = unique_positive_root(coeffs[i])
+    if closed.any():
+        out[closed] = _cubic_positive_roots(*coeffs[closed].T)
+    return out
 
 
 def best_candidate(values, powers) -> tuple[int, bool]:

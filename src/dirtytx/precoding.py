@@ -6,7 +6,8 @@ through the effective vector ``c_eff = Q c`` seen by the amplifiers, and
 takes a closed rational form in ``c_eff``.  This module evaluates that
 form, maximizes it exactly over the two-branch candidate set, and
 implements the two maximum-ratio baselines (conventional and
-distortion-aware).
+distortion-aware).  :func:`design_se` runs all three designs on a stack
+of channels at once, with the operations of the single-channel designs.
 
 Every design takes either hardware container, :class:`HardwareConfig`
 or ``mxm.HardwareConfigM``, and shares one input check.  The
@@ -19,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryEvaluationError, NoFiniteOptimumError
+from .errors import BoundaryEvaluationError, NoFiniteOptimumError, NumericalError
 from .model import BussgangGainWarning, HardwareConfig, coupling_matrix
-from .polyroots import best_candidate, real_roots, unique_positive_root
+from .polyroots import (
+    best_candidate,
+    real_roots,
+    stacked_positive_roots,
+    stacked_real_roots,
+    unique_positive_root,
+)
 
 __all__ = [
     "ChannelSpec",
@@ -34,6 +41,7 @@ __all__ = [
     "distortion_aware_mrt",
     "distortion_aware_curve",
     "mrt_ray_curve",
+    "design_se",
 ]
 
 # Bussgang gains this far below zero flag a solution as outside the
@@ -45,6 +53,20 @@ _CANDIDATES = (
     "joint_saturation_aligned", "joint_stationary_aligned",
     "joint_saturation_opposed", "joint_stationary_opposed",
 )
+_SATURATION = ("precoder drives a branch past saturation (negative Bussgang gain); "
+               "linearized SE is not reliable here")
+# Channels per batched pass of design_se; bounds its (chunk, 200, M) arrays.
+_CHUNK = 256
+
+
+def _check_channels(h, sigma_n2):
+    """The channel checks of :class:`ChannelSpec`, on one channel or a stack of rows."""
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel entries must be finite")
+    if np.any(np.linalg.norm(h, axis=-1) == 0):
+        raise ValueError("channel must not be identically zero")
+    if not 0 < sigma_n2 < np.inf:
+        raise ValueError("receiver noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,12 +80,7 @@ class ChannelSpec:
         h = np.atleast_1d(np.asarray(self.h, dtype=complex))
         if h.ndim != 1 or h.size < 1:
             raise ValueError("channel must be a 1-D complex vector")
-        if not np.all(np.isfinite(h.view(float))):
-            raise ValueError("channel entries must be finite")
-        if np.linalg.norm(h) == 0:
-            raise ValueError("channel must not be identically zero")
-        if not 0 < self.sigma_n2 < np.inf:
-            raise ValueError("receiver noise variance must be positive and finite")
+        _check_channels(h, self.sigma_n2)
         object.__setattr__(self, "h", h)
 
     @property
@@ -134,12 +151,7 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
     gains = 1.0 + 2.0 * rho * np.abs(c_eff) ** 2
     valid = bool(np.min(gains) >= -_GAIN_TOL)
     if not valid:
-        warnings.warn(
-            "precoder drives a branch past saturation (negative Bussgang gain); "
-            "linearized SE is not reliable here",
-            BussgangGainWarning,
-            stacklevel=3,
-        )
+        warnings.warn(_SATURATION, BussgangGainWarning, stacklevel=3)
     s = float(_sndr(c_eff, h, h_tilde, sigma2))
     return PrecoderSolution(
         c_eff=c_eff,
@@ -158,13 +170,19 @@ def _design_inputs(channel: ChannelSpec, hw):
     Every design takes one channel entry per branch and strictly
     compressive branches; anything else raises ``ValueError``.
     """
+    q, rho = _hw_inputs(hw, channel.n_branches)
+    h = channel.h
+    return (q, h, rho, *_noise_terms(h, rho, hw.sigma_w2, channel.sigma_n2))
+
+
+def _hw_inputs(hw, n_branches):
+    """The hardware half ``(q, rho)`` of :func:`_design_inputs`, with its checks."""
     rho = np.asarray(hw.rho, dtype=float)
-    if channel.n_branches != rho.size:
+    if n_branches != rho.size:
         raise ValueError("channel length must match the branch count")
     if not np.all(rho < 0):
         raise ValueError("all branches must be strictly compressive")
-    h = channel.h
-    return (coupling_matrix(hw), h, rho, *_noise_terms(h, rho, hw.sigma_w2, channel.sigma_n2))
+    return coupling_matrix(hw), rho
 
 
 def _amp_cubic_root(gain2: float, rho_l: float, sigma2: float) -> float:
@@ -383,3 +401,189 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
         raise ValueError("ray powers must be non-negative")
     rows = np.sqrt(p_grid)[:, None] * _mrt_direction(q, h)
     return np.log2(1.0 + _sndr(rows, h, h_tilde, sigma2))
+
+
+# --------------------------------------------------------------------
+# all three designs on a stack of channels
+# --------------------------------------------------------------------
+#
+# Each stacked step below performs the operations of its single-channel
+# counterpart in the same order.  A stacked matmul runs the same BLAS
+# product per channel as the single-channel ``@``.  Products and moduli
+# of lone complex numbers are spelled out, since numpy's array loops
+# may fuse them where its scalar arithmetic does not, and so are squares
+# of lone numbers: numpy's scalar ``x ** 2`` calls the C library ``pow``
+# where its array loop multiplies.
+
+def _sndr_stack(c_eff, h, h_tilde, sigma2):
+    """:func:`_sndr` of ``(n, k, M)`` precoders, ``k`` per channel row of ``h``.
+
+    With ``k = 1`` the ``(n,)`` result is that of :func:`_sndr` on each
+    single precoder, whose last steps run on numpy scalars.
+    """
+    cubic = np.abs(c_eff) ** 2 * c_eff
+    lin = np.matmul(c_eff, h[:, :, None])[..., 0]
+    dist = np.matmul(cubic, h_tilde[:, :, None])[..., 0]
+    if c_eff.shape[1] == 1:
+        lin, dist = lin[:, 0], dist[:, 0]
+        return 2.0 * _scalar_square(np.abs(lin + dist)) / (_scalar_square(np.abs(dist)) + sigma2)
+    return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2[:, None])
+
+
+def _scalar_mul(a, b):
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _scalar_abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _scalar_square(x):
+    return np.array([v ** 2 for v in x.tolist()])
+
+
+def _optimal_rows(h, rho, h_tilde, sigma2):
+    """:func:`optimal_precoder`'s pick per row, NaN where it has no finite candidate."""
+    n = h.shape[0]
+    r1, r2 = rho
+    g1, g2 = np.abs(h_tilde).T
+    w = _scalar_mul(np.conj(h[:, 0]), h[:, 1])
+    chi = np.exp(1j * np.angle(w))
+    tau = np.sqrt(abs(r1) / abs(r2))
+    sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
+    sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
+    g_al = g1 + tau ** 3 * g2
+    g_op = g1 - tau ** 3 * g2
+    cubics = np.zeros((n, 4, 4))
+    cubics[:, :, 0] = 2.0 * np.stack(
+        [_scalar_square(g2), _scalar_square(g1), g_al * g_al, g_op * g_op], axis=1)
+    cubics[:, :, 2] = (-6.0 * np.array([r2, r1, r1, r1])) * sigma2[:, None]
+    cubics[:, :, 3] = -sigma2[:, None]
+    amps = np.sqrt(stacked_positive_roots(cubics.reshape(-1, 4))).reshape(n, 4)
+    amp2, amp1, amp_al, amp_op = amps.T
+    cand = np.zeros((n, 8, 2), dtype=complex)
+    cand[:, 0, 1] = sat2
+    cand[:, 1, 1] = amp2
+    cand[:, (2, 4), 0] = (sat1 * chi)[:, None]
+    cand[:, 3, 0] = amp1 * chi
+    cand[:, (4, 6), 1] = tau * sat1
+    cand[:, 5] = np.stack([amp_al * chi, tau * amp_al], axis=1)
+    cand[:, 6, 0] = sat1 * -chi
+    cand[:, 7] = np.stack([amp_op * -chi, tau * amp_op], axis=1)
+    s = _sndr_stack(cand, h, h_tilde, sigma2)
+    finite = np.isfinite(s)
+    values = np.where(finite, -s, np.inf).tolist()
+    powers = np.linalg.norm(cand, axis=2).tolist()
+    out = np.full((n, 2), np.nan, dtype=complex)
+    for i in np.flatnonzero(finite.any(axis=1) & (w != 0)):
+        out[i] = cand[i, best_candidate(values[i], powers[i])[0]]
+    return out
+
+
+def _conventional_rows(q, h, h_tilde, sigma2):
+    """:func:`conventional_mrt`'s best ray point per row, NaN where it raises."""
+    c_hat = np.matmul(q, h.conj()[:, :, None])[:, :, 0] / _scalar_abs(h[:, 0])[:, None]
+    k0 = np.matmul(h[:, None, :], c_hat[:, :, None])[:, 0, 0]
+    k1 = np.matmul(h_tilde[:, None, :], (np.abs(c_hat) ** 2 * c_hat)[:, :, None])[:, 0, 0]
+    wre = _scalar_mul(k0, np.conj(k1)).real
+    a0, a1 = _scalar_square(_scalar_abs(k0)), _scalar_square(_scalar_abs(k1))
+    quartics = np.stack([
+        2.0 * a1 * wre,
+        2.0 * a1 * a0,
+        -3.0 * a1 * sigma2,
+        -4.0 * wre * sigma2,
+        -a0 * sigma2,
+    ], axis=1)
+    live = k1 != 0
+    roots = np.full((h.shape[0], 4), np.nan)
+    roots[live] = stacked_real_roots(quartics[live])
+    positive = roots > 0
+    rows = np.sqrt(np.where(positive, roots, np.nan))[:, :, None] * c_hat[:, None, :]
+    s = np.where(positive, _sndr_stack(rows, h, h_tilde, sigma2), -np.inf)
+    best = rows[np.arange(h.shape[0]), np.argmax(s, axis=1)]
+    best[~positive.any(axis=1)] = np.nan
+    return best
+
+
+def _distortion_aware_rows(q, h, rho, h_tilde, sigma2):
+    """:func:`distortion_aware_mrt`'s grid pick per row of nonzero entries."""
+    ref = _scalar_abs(np.linalg.solve(q, h.conj().T)[0])
+    ref = np.where(ref == 0, 1.0, ref)
+    eta_lo = 1e-7 / _scalar_square(ref)
+    gain_floor = 0.02
+    qmax = 2.0 / gain_floor - 1.0
+    habs = np.abs(h)
+    eta_hi = np.max((qmax ** 2 - 1.0) / (8.0 * np.abs(rho) * habs ** 2), axis=1)
+    eta_hi = np.maximum(eta_hi, eta_lo * 10.0)
+    etas = np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200, axis=1)[:, :, None]
+    habs = habs[:, None, :]
+    disc = np.sqrt(1.0 - 8.0 * rho * habs ** 2 * etas)
+    amps = (1.0 - disc) / (4.0 * rho * habs * np.sqrt(etas))
+    rows = amps * np.exp(-1j * np.angle(h))[:, None, :]
+    best = np.argmax(_sndr_stack(rows, h, h_tilde, sigma2), axis=1)
+    return rows[np.arange(h.shape[0]), best]
+
+
+def _design_rows(q, h, rho, sigma_w2, sigma_n2):
+    """The three designs on channel rows of nonzero entries, as stacked passes.
+
+    Returns their ``(n, 3)`` SE and validity flags, and the rows that got
+    a finite precoder and SE from every design.
+    """
+    norm2 = (h.conj()[:, None, :] @ h[:, :, None])[:, 0, 0].real  # np.vdot(h, h) per row
+    h_tilde, sigma2 = 2.0 * h * rho, 2.0 * sigma_w2 * norm2 + 2.0 * sigma_n2
+    c_eff = np.stack([
+        _optimal_rows(h, rho, h_tilde, sigma2),
+        _distortion_aware_rows(q, h, rho, h_tilde, sigma2),
+        _conventional_rows(q, h, h_tilde, sigma2),
+    ])
+    se = np.log2(1.0 + np.stack([_sndr_stack(c[:, None, :], h, h_tilde, sigma2) for c in c_eff], 1))
+    valid = np.min(1.0 + 2.0 * rho * np.abs(c_eff) ** 2, axis=2) >= -_GAIN_TOL
+    return se, valid.T, np.all(np.isfinite(c_eff), axis=(0, 2)) & ~np.isnan(se).any(axis=1)
+
+
+def design_se(channels, sigma_n2, hw) -> np.ndarray:
+    """SE of the optimal, distortion-aware and conventional designs per channel.
+
+    ``channels`` is an ``(n, 2)`` stack of channel rows with the common
+    receiver noise ``sigma_n2``.  Row ``i`` of the ``(n, 3)`` result is
+    the SE of :func:`optimal_precoder`, :func:`distortion_aware_mrt` and
+    :func:`conventional_mrt` on ``ChannelSpec(channels[i], sigma_n2)``,
+    and the errors and ``BussgangGainWarning`` of a loop over those
+    calls come from here too, in the same order.  Channels are solved in
+    stacked passes of a fixed size, with the operations of the
+    single-channel designs.  A row with a zero entry, or without a
+    stacked answer from some design, runs the single-channel designs;
+    so does every row of a pass that raises.
+    """
+    h = np.asarray(channels, dtype=complex)
+    if h.ndim != 2:
+        raise ValueError("channels must be a 2-D stack of channel rows")
+    _check_channels(h, sigma_n2)
+    q, rho = _hw_inputs(hw, h.shape[1])
+    if rho.size != 2:
+        raise ValueError("the optimal precoder needs exactly two branches")
+    se = np.empty((h.shape[0], 3))
+    for start in range(0, h.shape[0], _CHUNK):
+        rows, out = h[start:start + _CHUNK], se[start:start + _CHUNK]
+        valid = np.ones(out.shape, dtype=bool)
+        answered = np.zeros(rows.shape[0], dtype=bool)
+        idx = np.flatnonzero(np.all(np.abs(rows) ** 2 > 0, axis=1))
+        try:
+            with np.errstate(all="ignore"):
+                out[idx], valid[idx], answered[idx] = _design_rows(
+                    q, rows[idx], rho, hw.sigma_w2, sigma_n2)
+        except (NumericalError, ValueError, OverflowError):
+            # Raised by the single-row solvers that take a stack's odd
+            # rows, or by Python's float power on overflow: the loop
+            # below then meets the same error at its own row.
+            answered[:] = False
+        for i in np.flatnonzero(~answered | ~valid.all(axis=1)):
+            if answered[i]:
+                for _ in range(np.count_nonzero(~valid[i])):
+                    warnings.warn(_SATURATION, BussgangGainWarning, stacklevel=2)
+                continue
+            ch = ChannelSpec(h=rows[i], sigma_n2=sigma_n2)
+            out[i] = (optimal_precoder(ch, hw).se, distortion_aware_mrt(ch, hw).se,
+                      conventional_mrt(ch, hw).se)
+    return se

@@ -12,7 +12,13 @@ from dirtytx import (
     siso_optimal_power,
 )
 from dirtytx.errors import DegeneratePolynomialError, RootStructureError
-from dirtytx.polyroots import best_candidate, real_roots, unique_positive_root
+from dirtytx.polyroots import (
+    best_candidate,
+    real_roots,
+    stacked_positive_roots,
+    stacked_real_roots,
+    unique_positive_root,
+)
 from oracles import (
     exact_positive_root,
     random_channels,
@@ -100,6 +106,112 @@ class TestRealRoots:
             real_roots([0.0, 0.0, 0.0])
         with pytest.raises(DegeneratePolynomialError):
             real_roots([5.0])
+
+
+def row_by_row_roots(stack):
+    """Rows of real_roots(...).roots, NaN-padded to the stack's degree."""
+    out = np.full((len(stack), len(stack[0]) - 1), np.nan)
+    for i, row in enumerate(stack):
+        roots = real_roots(row).roots
+        out[i, :roots.size] = roots
+    return out
+
+
+def assert_same_roots(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want)), "kept sets differ"
+    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestStackedRealRoots:
+    def test_random_stacks_match_row_by_row(self):
+        rng = np.random.default_rng(307)
+        for degree in (1, 2, 3, 4, 6):
+            stack = rng.standard_normal((60, degree + 1)) * 10.0 ** rng.uniform(-3, 3, (60, 1))
+            assert_same_roots(stacked_real_roots(stack), row_by_row_roots(stack))
+
+    def test_root_structures_match_row_by_row(self):
+        rng = np.random.default_rng(311)
+        rows = []
+        for _ in range(40):
+            r = rng.uniform(-4.0, 4.0, 4)
+            pair = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(0.1, 2.0)
+            rows += [
+                np.poly([r[0], r[1], pair, np.conj(pair)]).real,      # a complex pair
+                np.poly([r[0], r[0] * (1.0 + 1e-9), r[1], r[2]]),      # a near-double root
+                np.poly([r[0], r[0], r[1], r[2]]),                     # an exact double root
+                np.poly(-np.abs(r) - 0.1),                             # no positive root
+                np.poly([pair, np.conj(pair), 2 * pair, 2 * np.conj(pair)]).real,  # none real
+            ]
+        stack = np.array(rows)
+        want = row_by_row_roots(stack)
+        assert_same_roots(stacked_real_roots(stack), want)
+        assert np.isnan(want).all(axis=1).any() and (~np.isnan(want)).all(axis=1).any()
+
+    def test_mrt_quartics_match_row_by_row(self):
+        # The sign pattern of conventional_mrt's stationarity quartic.
+        rng = np.random.default_rng(313)
+        k1, k0, wre = (10.0 ** rng.uniform(-3, 3, 200) for _ in range(3))
+        sigma2 = 10.0 ** rng.uniform(-2, 2, 200)
+        stack = np.stack([2 * k1 * -wre, 2 * k1 * k0, -3 * k1 * sigma2, 4 * wre * sigma2,
+                          -k0 * sigma2], axis=1)
+        assert_same_roots(stacked_real_roots(stack), row_by_row_roots(stack))
+
+    def test_rows_outside_the_stacked_pass_match_row_by_row(self):
+        stack = np.array([
+            [1e-20, 1.0, -3.0, 2.0, 0.5],   # leading coefficient trimmed away
+            [1.0, -3.0, 2.0, 0.0, 0.0],      # zero constant: np.roots deflates it
+            [0.0, 0.0, 1.0, 0.0, -4.0],      # exact leading zeros
+            [1.0, 0.0, -5.0, 0.0, 4.0],      # stacked
+        ])
+        assert_same_roots(stacked_real_roots(stack), row_by_row_roots(stack))
+
+    def test_errors_match_real_roots(self):
+        with pytest.raises(DegeneratePolynomialError):
+            stacked_real_roots([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(DegeneratePolynomialError):
+            stacked_real_roots([[5.0], [2.0]])
+        with pytest.raises(ValueError, match="2-D"):
+            stacked_real_roots([1.0, 0.0, -1.0])
+        assert stacked_real_roots(np.zeros((0, 5))).shape == (0, 4)
+
+
+class TestStackedPositiveRoots:
+    def test_amplitude_cubics_match_row_by_row(self):
+        rng = np.random.default_rng(317)
+        g2 = 10.0 ** rng.uniform(-6, 4, 500)
+        rho = -(10.0 ** rng.uniform(-3, 0, 500))
+        sigma2 = 10.0 ** rng.uniform(-6, 1, 500)
+        stack = np.stack([2.0 * g2, 0.0 * g2, -6.0 * rho * sigma2, -sigma2], axis=1)
+        want = [unique_positive_root(row) for row in stack]
+        assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
+
+    def test_one_sign_change_cubics_match_row_by_row(self):
+        # Any one-sign-change cubic, either sign of the leading
+        # coefficient, on both closed-form branches (Cardano and trigonometric).
+        rng = np.random.default_rng(331)
+        roots = 10.0 ** rng.uniform(-3, 3, 300)
+        other = rng.uniform(-3, 3, (300, 2))
+        stack = np.array([np.poly([r, -abs(a) - 0.01, -abs(b) - 0.02]) for r, (a, b) in
+                          zip(roots, other)]) * rng.choice([-1.0, 1.0], (300, 1))
+        want = [unique_positive_root(row) for row in stack]
+        assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
+
+    def test_rows_outside_the_closed_form_match_row_by_row(self):
+        stack = np.array([
+            [0.0, 0.0, 0.15, -0.3],         # zero cubic weight: a linear balance
+            [2e-320, 0.0, 0.036, -0.3],     # the span overflows the closed-form test
+            [1.0, -2.0, 2.0, -1.0],         # three sign changes
+            [2.0, 0.0, 0.15, -0.3],         # closed form
+        ])
+        want = [unique_positive_root(row) for row in stack]
+        assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
+
+    def test_errors_match_unique_positive_root(self):
+        with pytest.raises(RootStructureError):
+            stacked_positive_roots([[2.0, 0.0, 0.15, -0.3], [1.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="2-D"):
+            stacked_positive_roots([2.0, 0.0, 0.15, -0.3])
 
 
 class TestUniquePositiveRoot:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,6 +15,7 @@ from dirtytx import (
     conventional_mrt,
     coupling_matrix,
     dbm_to_watt,
+    design_se,
     distortion_aware_curve,
     distortion_aware_mrt,
     hardware_from_pair,
@@ -533,8 +536,8 @@ class TestAnyBranchCount:
 
 
 def test_saturated_solution_is_flagged():
-    # No design has been seen to return a branch past saturation, so the
-    # flag is probed on the shared finishing step directly.
+    # The flag is probed on the shared finishing step directly; a design
+    # that returns such a point is in TestDesignSe.
     ch = ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
     q, h, rho, h_tilde, sigma2 = precoding._design_inputs(ch, reference_hw())
     sat = np.sqrt(1.0 / (2.0 * 0.025))
@@ -543,3 +546,128 @@ def test_saturated_solution_is_flagged():
         sol = precoding._finalize(c_eff, q, h, h_tilde, sigma2, rho, "probe")
     assert sol.valid is False
     assert sol.bussgang_gains[0] < 0 < sol.bussgang_gains[1]
+
+
+def scalar_design_se(channels, sigma_n2, hw):
+    """The loop design_se replaces: three single-channel designs per row."""
+    rows = []
+    for h in channels:
+        ch = ChannelSpec(h=h, sigma_n2=sigma_n2)
+        rows.append([optimal_precoder(ch, hw).se, distortion_aware_mrt(ch, hw).se,
+                     conventional_mrt(ch, hw).se])
+    return np.array(rows).reshape(-1, 3)
+
+
+def benchmark_hw(asymmetric):
+    """The symmetric and asymmetric hardware classes of the perfbench SE workload."""
+    kappa2_db, phase, rho = (((-48.0, -52.0), (1.1, -2.3), (-0.023, -0.027)) if asymmetric
+                             else ((-50.0, -50.0), (0.0, 0.0), (-0.025, -0.025)))
+    return HardwareConfig(
+        gamma=(np.sqrt(1000.0), np.sqrt(1000.0)),
+        kappa=tuple(np.sqrt(10.0 ** (k / 10.0)) * np.exp(1j * a) for k, a in zip(kappa2_db, phase)),
+        rho=rho,
+        sigma_w2=dbm_to_watt(-10.0),
+    )
+
+
+def saturating_case():
+    """A channel on which conventional_mrt's best ray point is past saturation."""
+    hw = HardwareConfig(
+        gamma=(np.sqrt(1000.0), np.sqrt(1000.0)),
+        kappa=(np.sqrt(1e-5), np.sqrt(1e-5)),
+        rho=(-0.3, -0.001),
+        sigma_w2=1e-4,
+    )
+    return hw, np.array([1.0, 2.0 * (0.6 + 0.8j)]), 100.0
+
+
+def refuse_scalar_designs(monkeypatch):
+    for name in ("optimal_precoder", "distortion_aware_mrt", "conventional_mrt"):
+        monkeypatch.setattr(precoding, name, lambda *args, _name=name: pytest.fail(_name))
+
+
+class TestDesignSe:
+    @pytest.mark.parametrize("n", [1, 2, 15, precoding._CHUNK + 9])
+    def test_matches_scalar_designs(self, n):
+        rng = np.random.default_rng(4001 + n)
+        hws = [benchmark_hw(False), benchmark_hw(True)]
+        hws += [random_hardware(rng) for _ in range(1 if n > precoding._CHUNK else 4)]
+        for hw in hws:
+            channels = random_channels(rng, n) * 10.0 ** rng.uniform(-1.0, 1.0, (n, 1))
+            sigma_n2 = 10.0 ** rng.uniform(-1.0, 1.0)
+            want = scalar_design_se(channels, sigma_n2, hw)
+            assert_allclose(design_se(channels, sigma_n2, hw), want, rtol=1e-12, atol=0.0)
+
+    def test_rows_with_a_zero_entry_take_the_scalar_designs(self, monkeypatch):
+        # The other rows never reach the scalar designs.
+        rng = np.random.default_rng(4003)
+        channels = random_channels(rng, 6)
+        channels[1, 0] = 0.0
+        channels[3, 1] = 1e-170  # nonzero, but its squared modulus underflows
+        channels[4, 1] = 0.0
+        hw = random_hardware(rng)
+        want = scalar_design_se(channels, 1.0, hw)
+        assert_allclose(design_se(channels, 1.0, hw), want, rtol=1e-12, atol=0.0)
+        assert_allclose(design_se(channels[[1, 4]], 1.0, hw), want[[1, 4]], rtol=1e-12, atol=0.0)
+        refuse_scalar_designs(monkeypatch)
+        assert_allclose(design_se(channels[[0, 2, 5]], 1.0, hw), want[[0, 2, 5]],
+                        rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [
+        [1e200, 1.0], [1e-200, 1.0], [1e160, 1e160j], [1e-160, 1e-160],
+    ])
+    def test_raising_row_raises_the_same_class(self, bad):
+        rng = np.random.default_rng(4007)
+        channels = np.vstack([random_channels(rng, 3), [bad], random_channels(rng, 2)])
+        hw = benchmark_hw(True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want = scalar_design_se(channels, 1.0, hw)
+            except Exception as exc:  # the class is what the batched entry must match
+                with pytest.raises(type(exc)):
+                    design_se(channels, 1.0, hw)
+            else:
+                assert_allclose(design_se(channels, 1.0, hw), want, rtol=1e-12, atol=0.0)
+
+    def test_invalid_input_gives_the_scalar_messages(self):
+        good = random_channels(np.random.default_rng(4009), 3)
+        cases = [
+            (np.vstack([good, [[1.0, np.nan]]]), 1.0, reference_hw()),
+            (np.vstack([good, [[1.0, 1j * np.inf]]]), 1.0, reference_hw()),
+            (np.vstack([good, [[0.0, 0.0]]]), 1.0, reference_hw()),
+            (good, 0.0, reference_hw()),
+            (good, -1.0, reference_hw()),
+            (good, np.inf, reference_hw()),
+            (good, np.nan, reference_hw()),
+            (np.ones((3, 3), dtype=complex), 1.0, reference_hw()),
+            (np.ones((3, 1), dtype=complex), 1.0, reference_hw()),
+            (good, 1.0, three_branch_hw()),
+            (np.ones((3, 3), dtype=complex), 1.0, three_branch_hw()),
+            (good, 1.0, reference_hw(rho=(0.0, -0.02))),
+        ]
+        for channels, sigma_n2, hw in cases:
+            with pytest.raises(ValueError) as want:
+                scalar_design_se(channels, sigma_n2, hw)
+            with pytest.raises(ValueError) as got:
+                design_se(channels, sigma_n2, hw)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="2-D"):
+            design_se(good[0], 1.0, reference_hw())
+
+    def test_saturation_warnings_match_the_scalar_loop(self, monkeypatch):
+        hw, h, sigma_n2 = saturating_case()
+        rng = np.random.default_rng(4013)
+        channels = np.vstack([random_channels(rng, 2), [h], random_channels(rng, 2), [2.0 * h]])
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            expected = scalar_design_se(channels, sigma_n2, hw)
+            assert not conventional_mrt(ChannelSpec(h=h, sigma_n2=sigma_n2), hw).valid
+        want = want[:-1]
+        refuse_scalar_designs(monkeypatch)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            assert_allclose(design_se(channels, sigma_n2, hw), expected, rtol=1e-12, atol=0.0)
+        seen = [(w.category, str(w.message)) for w in got]
+        assert seen == [(w.category, str(w.message)) for w in want]
+        assert seen and all(category is BussgangGainWarning for category, _ in seen)
