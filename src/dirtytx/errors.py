@@ -38,7 +38,7 @@ class RootStructureError(NumericalError):
 
 
 class DegeneratePolynomialError(NumericalError):
-    """All polynomial coefficients vanished; no roots can be extracted."""
+    """All polynomial coefficients vanished, or one is not finite; no roots can be extracted."""
 
 
 class NoFiniteOptimumError(NumericalError):

@@ -7,7 +7,8 @@ taken in closed form and polished inside a sign bracket.  Other roots
 are companion-matrix eigenvalues polished by a few Newton steps.
 :func:`stacked_real_roots` and :func:`stacked_positive_roots` apply the
 same two routes to every row of a coefficient stack at once, with the
-same operations, for the batched precoder designs.
+same operations, for the precoder designs; a stack of one channel's
+polynomials is solved row by row, which is cheaper at that size.
 :func:`best_candidate` picks among the optimizers' scored candidates.
 """
 
@@ -38,6 +39,9 @@ _RESIDUAL_TOL = 1e-8
 _ULPS = 4.0 * 2.0 ** -52
 # Candidate values, and then candidate powers, this close (relative) tie.
 _TIE_REL = 1e-12
+# Stacks of at most this many rows (one channel's quartic or four
+# cubics) go to the single-row solvers, one row at a time.
+_ROW_BY_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,8 @@ class RootReport:
 
 def _trim(coeffs: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(coeffs))
+    if not np.isfinite(scale):
+        raise DegeneratePolynomialError("polynomial coefficients must be finite")
     if scale == 0:
         raise DegeneratePolynomialError("all polynomial coefficients are zero")
     keep = np.abs(coeffs) > _TRIM_TOL * scale
@@ -105,7 +111,8 @@ def real_roots(coefficients) -> RootReport:
     Coefficients are highest power first.  The leading coefficient may
     be (numerically) zero; the degree is reduced accordingly.  Each
     reported root satisfies
-    ``|p(root)| <= 1e-8 * max|coeff| * max(1, |root|)**degree``.
+    ``|p(root)| <= 1e-8 * max|coeff| * max(1, |root|)**degree``.  A
+    coefficient that is not finite raises ``DegeneratePolynomialError``.
     """
     coeffs = _trim(np.atleast_1d(np.asarray(coefficients, dtype=float)))
     degree = coeffs.size - 1
@@ -183,14 +190,15 @@ def stacked_real_roots(coefficients) -> np.ndarray:
     with finite coefficients, a leading coefficient that survives the
     trim and a nonzero constant share one stacked companion eigenvalue
     call and one vectorized polish, made of the same operations as the
-    single-row solver; any other row goes through :func:`real_roots`
-    itself and raises as it does.
+    single-row solver; any other row, and every row of a stack of at
+    most four, goes through :func:`real_roots` itself and raises as it
+    does.
     """
     coeffs = _stack(coefficients)
     degree = coeffs.shape[1] - 1
     out = np.full((coeffs.shape[0], max(degree, 0)), np.nan)
     fast = np.zeros(coeffs.shape[0], dtype=bool)
-    if degree >= 1:
+    if degree >= 1 and coeffs.shape[0] > _ROW_BY_ROW:
         scale = np.max(np.abs(coeffs), axis=1)
         with np.errstate(invalid="ignore"):
             fast = (np.all(np.isfinite(coeffs), axis=1) & (coeffs[:, -1] != 0)
@@ -351,12 +359,13 @@ def stacked_positive_roots(coefficients) -> np.ndarray:
     """:func:`unique_positive_root` of every row of a coefficient stack, as a ``(k,)`` array.
 
     The cubic rows that take the closed form there are solved together,
-    with the same operations; any other row goes through
-    :func:`unique_positive_root` itself and raises as it does.
+    with the same operations; any other row, and every row of a stack of
+    at most four, goes through :func:`unique_positive_root` itself and
+    raises as it does.
     """
     coeffs = _stack(coefficients)
     closed = np.zeros(coeffs.shape[0], dtype=bool)
-    if coeffs.shape[1] == 4:
+    if coeffs.shape[1] == 4 and coeffs.shape[0] > _ROW_BY_ROW:
         a, b, c, d = coeffs.T
         signs = np.sign(coeffs)
         prev, changes = signs[:, 0], np.zeros(coeffs.shape[0], dtype=int)

@@ -6,8 +6,9 @@ through the effective vector ``c_eff = Q c`` seen by the amplifiers, and
 takes a closed rational form in ``c_eff``.  This module evaluates that
 form, maximizes it exactly over the two-branch candidate set, and
 implements the two maximum-ratio baselines (conventional and
-distortion-aware).  :func:`design_se` runs all three designs on a stack
-of channels at once, with the operations of the single-channel designs.
+distortion-aware).  Each design step works on a stack of channel rows:
+the single-channel designs run it on a one-row stack, and
+:func:`design_se` runs all three designs on many channels at once.
 
 Every design takes either hardware container, :class:`HardwareConfig`
 or ``mxm.HardwareConfigM``, and shares one input check.  The
@@ -15,6 +16,7 @@ matched-filter designs and their curves run for any branch count; the
 exact candidate-set optimizer is specific to two branches.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,12 +24,13 @@ import numpy as np
 
 from .errors import BoundaryEvaluationError, NoFiniteOptimumError, NumericalError
 from .model import BussgangGainWarning, HardwareConfig, coupling_matrix
-from .polyroots import (
+# real_roots is not called here, but stays a name of this module: perfbench's
+# tracer test reads precoding.real_roots.
+from .polyroots import (  # noqa: F401
     best_candidate,
     real_roots,
     stacked_positive_roots,
     stacked_real_roots,
-    unique_positive_root,
 )
 
 __all__ = [
@@ -114,28 +117,53 @@ class PrecoderSolution:
 
 
 def _noise_terms(h, rho, sigma_w2, sigma_n2):
-    """Constants ``(h_tilde, sigma2)`` of the scalar SNDR form.
+    """Constants ``(h_tilde, sigma2)`` of the SNDR form per channel row of ``h``.
 
-    ``h_tilde[l] = 2 h[l] rho[l]`` weighs the cubic distortion of branch
-    ``l`` at the receiver, and ``sigma2 = 2 sigma_w2 ||h||^2 +
-    2 sigma_n2`` is the combined noise floor of that form.
+    ``h_tilde[i, l] = 2 h[i, l] rho[l]`` weighs the cubic distortion of
+    branch ``l`` at receiver ``i``, and ``sigma2[i] = 2 sigma_w2
+    ||h[i]||^2 + 2 sigma_n2`` is the combined noise floor of that form.
     """
-    return 2.0 * h * rho, 2.0 * sigma_w2 * float(np.vdot(h, h).real) + 2.0 * sigma_n2
+    norm2 = (h.conj()[:, None, :] @ h[:, :, None])[:, 0, 0].real  # np.vdot(h, h) per row
+    return 2.0 * h * rho, 2.0 * sigma_w2 * norm2 + 2.0 * sigma_n2
 
+
+# The stacked steps below spell out products and moduli of lone complex
+# numbers, and squares of lone numbers, in the form numpy's scalar
+# arithmetic gives them: its array loops may fuse or multiply where its
+# scalar ``x ** 2`` calls the C library ``pow``.  So a one-row stack
+# keeps the bits the shipped configs' digests pin.
 
 def _sndr(c_eff, h, h_tilde, sigma2):
-    """Scalar-form SNDR of one effective precoder, or of each row of a stack."""
+    """Scalar-form SNDR of ``(n, k, M)`` precoders, ``k`` per channel row of ``h``."""
     cubic = np.abs(c_eff) ** 2 * c_eff
-    lin = c_eff @ h
-    dist = cubic @ h_tilde
-    return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2)
+    lin = np.matmul(c_eff, h[:, :, None])
+    dist = np.matmul(cubic, h_tilde[:, :, None])
+    if c_eff.shape[1] == 1:
+        lin, dist = lin[:, 0, 0], dist[:, 0, 0]
+        return 2.0 * _scalar_square(np.abs(lin + dist)) / (_scalar_square(np.abs(dist)) + sigma2)
+    lin, dist = lin[..., 0], dist[..., 0]
+    return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2[:, None])
+
+
+def _scalar_mul(a, b):
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
+def _scalar_abs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _scalar_square(x):
+    # Python's float power raises on overflow where numpy's gives inf.
+    return np.array([v ** 2 if abs(v) < 1e154 else v * v for v in x.tolist()])
 
 
 def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
     """Scalar-form SNDR of an effective precoder ``c_eff = Q c``."""
-    rho = np.asarray(hw.rho, dtype=float)
-    h_tilde, sigma2 = _noise_terms(channel.h, rho, hw.sigma_w2, channel.sigma_n2)
-    return float(_sndr(np.asarray(c_eff, dtype=complex), channel.h, h_tilde, sigma2))
+    h = channel.h[None]
+    h_tilde, sigma2 = _noise_terms(h, np.asarray(hw.rho, dtype=float), hw.sigma_w2,
+                                   channel.sigma_n2)
+    return float(_sndr(np.asarray(c_eff, dtype=complex)[None, None], h, h_tilde, sigma2)[0])
 
 
 def achievable_se(sndr_value: float) -> float:
@@ -146,13 +174,20 @@ def achievable_se(sndr_value: float) -> float:
 
 
 def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution:
+    """The solution of a design's picked ``c_eff`` on the one channel row of ``h``.
+
+    A picked precoder or SNDR that is not finite raises
+    ``NoFiniteOptimumError``.
+    """
     c_eff = np.asarray(c_eff, dtype=complex)
+    s = float(_sndr(c_eff[None, None], h, h_tilde, sigma2)[0])
+    if not (math.isfinite(s) and np.isfinite(c_eff).all()):
+        raise NoFiniteOptimumError("the design has no finite precoder and SNDR on this channel")
     c = np.linalg.solve(q, c_eff)
     gains = 1.0 + 2.0 * rho * np.abs(c_eff) ** 2
     valid = bool(np.min(gains) >= -_GAIN_TOL)
     if not valid:
         warnings.warn(_SATURATION, BussgangGainWarning, stacklevel=3)
-    s = float(_sndr(c_eff, h, h_tilde, sigma2))
     return PrecoderSolution(
         c_eff=c_eff,
         c=c,
@@ -167,11 +202,12 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
 def _design_inputs(channel: ChannelSpec, hw):
     """Inputs ``(q, h, rho, h_tilde, sigma2)`` of a design, any branch count.
 
-    Every design takes one channel entry per branch and strictly
-    compressive branches; anything else raises ``ValueError``.
+    ``h`` is the channel as a one-row stack.  Every design takes one
+    channel entry per branch and strictly compressive branches; anything
+    else raises ``ValueError``.
     """
     q, rho = _hw_inputs(hw, channel.n_branches)
-    h = channel.h
+    h = channel.h[None]
     return (q, h, rho, *_noise_terms(h, rho, hw.sigma_w2, channel.sigma_n2))
 
 
@@ -180,21 +216,133 @@ def _hw_inputs(hw, n_branches):
     rho = np.asarray(hw.rho, dtype=float)
     if n_branches != rho.size:
         raise ValueError("channel length must match the branch count")
-    if not np.all(rho < 0):
+    if not (rho < 0).all():
         raise ValueError("all branches must be strictly compressive")
     return coupling_matrix(hw), rho
 
 
-def _amp_cubic_root(gain2: float, rho_l: float, sigma2: float) -> float:
-    """Positive amplitude solving 2*gain2*r^6 - 6 rho_l sigma2 r^2 - sigma2 = 0.
+def _optimal_rows(h, rho, h_tilde, sigma2):
+    """:func:`optimal_precoder`'s candidates, scored and picked per channel row.
 
-    ``gain2`` is the squared distortion weight of the active direction.
-    Substituting s = r^2 gives a cubic with exactly one positive root;
-    a vanishing leading coefficient (distortion-cancelling direction)
-    degrades it to the linear balance s = 1/(-6 rho_l).
+    Returns the picked ``c_eff`` rows and candidate indices; a row
+    without a finite candidate gets NaN and index -1.
     """
-    s = unique_positive_root(np.array([2.0 * gain2, 0.0, -6.0 * rho_l * sigma2, -sigma2]))
-    return float(np.sqrt(s))
+    n = h.shape[0]
+    r1, r2 = rho
+    g1, g2 = np.abs(h_tilde).T
+    w = _scalar_mul(np.conj(h[:, 0]), h[:, 1])
+    chi = np.where(w != 0, np.exp(1j * np.angle(w)), 1.0)
+    tau = np.sqrt(abs(r1) / abs(r2))
+    sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
+    sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
+    g_al = g1 + tau ** 3 * g2
+    g_op = g1 - tau ** 3 * g2
+    # The four stationary amplitudes solve 2 g^2 s^3 - 6 rho sigma2 s -
+    # sigma2 = 0 in s = r^2, with one positive root each.
+    cubics = np.zeros((n, 4, 4))
+    cubics[:, :, 0] = 2.0 * np.array(
+        [_scalar_square(g2), _scalar_square(g1), g_al * g_al, g_op * g_op]).T
+    cubics[:, :, 2] = (-6.0 * np.array([r2, r1, r1, r1])) * sigma2[:, None]
+    cubics[:, :, 3] = -sigma2[:, None]
+    amps = np.sqrt(stacked_positive_roots(cubics.reshape(-1, 4))).reshape(n, 4)
+    amp2, amp1, amp_al, amp_op = amps.T
+    cand = np.zeros((n, 8, 2), dtype=complex)
+    cand[:, 0, 1] = sat2
+    cand[:, 1, 1] = amp2
+    cand[:, (2, 4), 0] = (sat1 * chi)[:, None]
+    cand[:, 3, 0] = amp1 * chi
+    cand[:, (4, 6), 1] = tau * sat1
+    cand[:, 5, 0], cand[:, 5, 1] = amp_al * chi, tau * amp_al
+    cand[:, 6, 0] = sat1 * -chi
+    cand[:, 7, 0], cand[:, 7, 1] = amp_op * -chi, tau * amp_op
+    s = _sndr(cand, h, h_tilde, sigma2)
+    values = np.where(np.isfinite(s), -s, np.inf).tolist()
+    powers = np.linalg.norm(cand, axis=2).tolist()
+    pick = np.array([best_candidate(v, p)[0] if min(v) < np.inf else -1
+                     for v, p in zip(values, powers)], dtype=int)
+    return np.where((pick >= 0)[:, None], cand[np.arange(n), pick], np.nan), pick
+
+
+def _ray_directions(q, h):
+    """Effective-domain matched-filter ray per channel row, normalized so
+    that the ray parameter is the branch-1 reference power whenever h1
+    is nonzero (else by ``||h||``)."""
+    ref = _scalar_abs(h[:, 0])
+    if not ref.all():
+        ref = np.where(ref == 0, np.linalg.norm(h, axis=1), ref)
+    return np.matmul(q, h.conj()[:, :, None])[:, :, 0] / ref[:, None]
+
+
+def _conventional_rows(q, h, h_tilde, sigma2):
+    """:func:`conventional_mrt`'s best ray point and ray power per channel row.
+
+    The ray SNDR is a rational function of the ray power whose interior
+    stationary points are the positive roots of a quartic.  A row
+    without one (a ray with no distortion has none) gets NaN.
+    """
+    c_hat = _ray_directions(q, h)
+    k0 = np.matmul(h[:, None, :], c_hat[:, :, None])[:, 0, 0]
+    k1 = np.matmul(h_tilde[:, None, :], (np.abs(c_hat) ** 2 * c_hat)[:, :, None])[:, 0, 0]
+    wre = k0.real * k1.real + k0.imag * k1.imag  # Re(k0 conj(k1))
+    a0, a1 = _scalar_square(_scalar_abs(k0)), _scalar_square(_scalar_abs(k1))
+    quartics = np.array([
+        2.0 * a1 * wre,
+        2.0 * a1 * a0,
+        -3.0 * a1 * sigma2,
+        -4.0 * wre * sigma2,
+        -a0 * sigma2,
+    ]).T
+    # A ray without distortion gets x^4 + 1, which has no real root.
+    quartics[k1 == 0] = (1.0, 0.0, 0.0, 0.0, 1.0)
+    roots = stacked_real_roots(quartics)
+    positive = roots > 0
+    rows = np.sqrt(np.where(positive, roots, np.nan))[:, :, None] * c_hat[:, None, :]
+    s = np.where(positive, _sndr(rows, h, h_tilde, sigma2), -np.inf)
+    power = roots[np.arange(h.shape[0]), np.argmax(s, axis=1)]
+    power[~positive.any(axis=1)] = np.nan
+    return np.sqrt(power)[:, None] * c_hat, power
+
+
+def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
+    """Search grid, effective precoders and SNDR of the distortion-aware family.
+
+    Per channel row, the 200-point logarithmic grid of the search
+    parameter ``eta`` starts (through the small-signal relation ``p_x ~
+    eta |(Q^-1 h*)_1|^2``) at roughly -40 dBm of reference power and
+    ends where every branch is within two percent Bussgang gain of
+    saturation, which is where the reachable power curve plateaus.
+    Entry ``[i, k]`` holds the positive fixed points of ``c_eff[l] =
+    sqrt(eta_k) h[i, l]* (1 + 2 rho[l] |c_eff[l]|^2)``, which exist for
+    every eta > 0 because rho < 0 keeps the quadratic discriminant at
+    least one; a branch whose squared channel modulus is 0 stays at 0.
+    Returns ``(etas, rows, sndr)`` of shapes ``(n, 200)``, ``(n, 200,
+    M)`` and ``(n, 200)``.
+    """
+    ref = _scalar_abs(np.linalg.solve(q, h.conj().T)[0])
+    ref = np.where(ref == 0, 1.0, ref)
+    eta_lo = 1e-7 / _scalar_square(ref)
+    gain_floor = 0.02
+    qmax = 2.0 / gain_floor - 1.0
+    habs = np.abs(h)
+    live = habs ** 2 > 0
+    habs = np.where(live, habs, 1.0)
+    eta_hi = np.max(np.where(live, (qmax ** 2 - 1.0) / (8.0 * np.abs(rho) * habs ** 2), 0.0),
+                    axis=1)
+    eta_hi = np.maximum(eta_hi, eta_lo * 10.0)
+    etas = np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200).T
+    root_eta = np.sqrt(etas)[:, :, None]
+    habs = habs[:, None, :]
+    disc = np.sqrt(1.0 - 8.0 * rho * habs ** 2 * etas[:, :, None])
+    amps = np.where(live[:, None, :], (1.0 - disc) / (4.0 * rho * habs * root_eta), 0.0)
+    rows = amps * np.exp(-1j * np.angle(h))[:, None, :]
+    return etas, rows, _sndr(rows, h, h_tilde, sigma2)
+
+
+def _distortion_aware_rows(q, h, rho, h_tilde, sigma2):
+    """:func:`distortion_aware_mrt`'s grid pick and its ``eta`` per channel row."""
+    etas, rows, scores = _distortion_aware_family(q, h, rho, h_tilde, sigma2)
+    pick = np.arange(h.shape[0]), np.argmax(scores, axis=1)
+    return rows[pick], etas[pick]
 
 
 def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
@@ -214,7 +362,8 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     is increasing and non-negative at ``sat^2 / 3``, so ``r <= sat /
     sqrt(3)`` and no two candidates coincide.  The best candidate by
     SNDR is returned, ties settled by :func:`polyroots.best_candidate`
-    with the norm of ``c_eff`` as the power.
+    with the norm of ``c_eff`` as the power; without a finite one,
+    ``NoFiniteOptimumError`` is raised.
 
     Edge stationary points, where one branch is pinned at saturation and
     the other amplitude is free, are not among the candidates.  On the
@@ -226,40 +375,8 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
     if rho.size != 2:
         raise ValueError("the optimal precoder needs exactly two branches")
-    r1, r2 = rho
-    g1, g2 = np.abs(h_tilde)
-
-    # Relative phase that aligns both branches at the receiver; the
-    # second entry of c_eff is kept real non-negative as the gauge.
-    w = np.conj(h[0]) * h[1]
-    chi = np.exp(1j * np.angle(w)) if w != 0 else 1.0 + 0.0j
-    tau = np.sqrt(abs(r1) / abs(r2))
-    sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
-    sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
-    amp2 = _amp_cubic_root(g2 ** 2, r2, sigma2)
-    amp1 = _amp_cubic_root(g1 ** 2, r1, sigma2)
-    g_al = g1 + tau ** 3 * g2
-    g_op = g1 - tau ** 3 * g2
-    amp_al = _amp_cubic_root(g_al * g_al, r1, sigma2)
-    amp_op = _amp_cubic_root(g_op * g_op, r1, sigma2)
-    cand = np.array([
-        [0.0, sat2],
-        [0.0, amp2],
-        [sat1 * chi, 0.0],
-        [amp1 * chi, 0.0],
-        [sat1 * chi, tau * sat1],
-        [amp_al * chi, tau * amp_al],
-        [sat1 * -chi, tau * sat1],
-        [amp_op * -chi, tau * amp_op],
-    ], dtype=complex)
-
-    s = _sndr(cand, h, h_tilde, sigma2)
-    finite = np.isfinite(s)
-    if not finite.any():
-        raise NoFiniteOptimumError("no candidate produced a finite SNDR")
-    pick, _ = best_candidate(np.where(finite, -s, np.inf).tolist(),
-                             np.linalg.norm(cand, axis=1).tolist())
-    return _finalize(cand[pick], q, h, h_tilde, sigma2, rho, _CANDIDATES[pick])
+    c_eff, pick = _optimal_rows(h, rho, h_tilde, sigma2)
+    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, _CANDIDATES[pick[0]])
 
 
 def perturbation_se(
@@ -280,15 +397,6 @@ def perturbation_se(
     return achievable_se(sndr(c_eff, channel, hw))
 
 
-def _mrt_direction(q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Effective-domain matched-filter ray, normalized so that the ray
-    parameter is the branch-1 reference power whenever h1 is nonzero."""
-    ref = abs(h[0])
-    if ref == 0:
-        ref = float(np.linalg.norm(h))
-    return q @ h.conj() / ref
-
-
 def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
     """Best transmit power along the plain matched-filter precoder.
 
@@ -298,62 +406,12 @@ def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     rather than silently clipped.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
-    c_hat = _mrt_direction(q, h)
-    k0 = np.dot(h, c_hat)
-    k1 = np.dot(h_tilde, np.abs(c_hat) ** 2 * c_hat)
-    if abs(k1) == 0:
-        raise BoundaryEvaluationError(
-            "matched-filter ray carries no distortion; the ray SNDR has no interior maximum"
-        )
-    wre = (k0 * np.conj(k1)).real
-    quartic = np.array([
-        2.0 * abs(k1) ** 2 * wre,
-        2.0 * abs(k1) ** 2 * abs(k0) ** 2,
-        -3.0 * abs(k1) ** 2 * sigma2,
-        -4.0 * wre * sigma2,
-        -abs(k0) ** 2 * sigma2,
-    ])
-    powers = real_roots(quartic).positive_roots
-    if powers.size == 0:
+    c_eff, power = _conventional_rows(q, h, h_tilde, sigma2)
+    if np.isnan(power[0]):
         raise BoundaryEvaluationError(
             "matched-filter ray SNDR has no interior stationary point"
         )
-    rows = np.sqrt(powers)[:, None] * c_hat
-    best = int(np.argmax(_sndr(rows, h, h_tilde, sigma2)))
-    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "conv_mrt[p=%.6g]" % powers[best])
-
-
-def _da_family(q, h, rho, h_tilde, sigma2):
-    """Search grid, effective precoders and SNDR of the distortion-aware family.
-
-    The 200-point logarithmic grid of the search parameter ``eta`` starts
-    (through the small-signal relation ``p_x ~ eta |(Q^-1 h*)_1|^2``) at
-    roughly -40 dBm of reference power and ends where every branch is
-    within two percent Bussgang gain of saturation, which is where the
-    reachable power curve plateaus.  Row ``k`` holds the positive fixed
-    points of ``c_eff[l] = sqrt(eta_k) h[l]* (1 + 2 rho[l] |c_eff[l]|^2)``,
-    which exist for every eta > 0 because rho < 0 keeps the quadratic
-    discriminant at least one.  Returns ``(etas, rows, sndr)``.
-    """
-    ref = abs(np.linalg.solve(q, h.conj())[0])
-    if ref == 0:
-        ref = 1.0
-    eta_lo = 1e-7 / ref ** 2
-    gain_floor = 0.02
-    qmax = 2.0 / gain_floor - 1.0
-    habs = np.abs(h)
-    live = habs ** 2 > 0
-    eta_hi = np.max((qmax ** 2 - 1.0) / (8.0 * np.abs(rho[live]) * habs[live] ** 2))
-    eta_hi = max(eta_hi, eta_lo * 10.0)
-    etas = np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200)
-
-    root_eta = np.sqrt(etas)[:, None]
-    amps = np.zeros((etas.size, h.size))
-    on = habs > 0
-    disc = np.sqrt(1.0 - 8.0 * rho[on] * habs[on] ** 2 * etas[:, None])
-    amps[:, on] = (1.0 - disc) / (4.0 * rho[on] * habs[on] * root_eta)
-    rows = amps * np.exp(-1j * np.angle(h))
-    return etas, rows, _sndr(rows, h, h_tilde, sigma2)
+    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, "conv_mrt[p=%.6g]" % power[0])
 
 
 def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
@@ -365,9 +423,8 @@ def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSo
     grid argmax of SE is returned.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
-    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
-    best = int(np.argmax(scores))
-    return _finalize(rows[best], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % etas[best])
+    c_eff, eta = _distortion_aware_rows(q, h, rho, h_tilde, sigma2)
+    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % eta[0])
 
 
 def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
@@ -378,9 +435,9 @@ def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     fixed-power baselines.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
-    etas, rows, scores = _da_family(q, h, rho, h_tilde, sigma2)
-    c_rows = np.linalg.solve(q, rows.T).T
-    return etas, np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores)
+    etas, rows, scores = _distortion_aware_family(q, h, rho, h_tilde, sigma2)
+    c_rows = np.linalg.solve(q, rows[0].T).T
+    return etas[0], np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores[0])
 
 
 def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
@@ -393,153 +450,31 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
     branch the ray saturates inside a typical sweep grid, and the curve
     can then exceed the feasible optimum of :func:`conventional_mrt`;
     this is the ``se-mrt-sweep`` check that perfbench's ``small-calls``
-    workload fails at seeds 29 and 30.
+    workload fails at seeds 29, 30, 41, 60, 74 and 87 (of 1 to 100).
     """
     q, h, _, h_tilde, sigma2 = _design_inputs(channel, hw)
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid < 0):
         raise ValueError("ray powers must be non-negative")
-    rows = np.sqrt(p_grid)[:, None] * _mrt_direction(q, h)
-    return np.log2(1.0 + _sndr(rows, h, h_tilde, sigma2))
-
-
-# --------------------------------------------------------------------
-# all three designs on a stack of channels
-# --------------------------------------------------------------------
-#
-# Each stacked step below performs the operations of its single-channel
-# counterpart in the same order.  A stacked matmul runs the same BLAS
-# product per channel as the single-channel ``@``.  Products and moduli
-# of lone complex numbers are spelled out, since numpy's array loops
-# may fuse them where its scalar arithmetic does not, and so are squares
-# of lone numbers: numpy's scalar ``x ** 2`` calls the C library ``pow``
-# where its array loop multiplies.
-
-def _sndr_stack(c_eff, h, h_tilde, sigma2):
-    """:func:`_sndr` of ``(n, k, M)`` precoders, ``k`` per channel row of ``h``.
-
-    With ``k = 1`` the ``(n,)`` result is that of :func:`_sndr` on each
-    single precoder, whose last steps run on numpy scalars.
-    """
-    cubic = np.abs(c_eff) ** 2 * c_eff
-    lin = np.matmul(c_eff, h[:, :, None])[..., 0]
-    dist = np.matmul(cubic, h_tilde[:, :, None])[..., 0]
-    if c_eff.shape[1] == 1:
-        lin, dist = lin[:, 0], dist[:, 0]
-        return 2.0 * _scalar_square(np.abs(lin + dist)) / (_scalar_square(np.abs(dist)) + sigma2)
-    return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2[:, None])
-
-
-def _scalar_mul(a, b):
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def _scalar_abs(z):
-    return np.hypot(z.real, z.imag)
-
-
-def _scalar_square(x):
-    return np.array([v ** 2 for v in x.tolist()])
-
-
-def _optimal_rows(h, rho, h_tilde, sigma2):
-    """:func:`optimal_precoder`'s pick per row, NaN where it has no finite candidate."""
-    n = h.shape[0]
-    r1, r2 = rho
-    g1, g2 = np.abs(h_tilde).T
-    w = _scalar_mul(np.conj(h[:, 0]), h[:, 1])
-    chi = np.exp(1j * np.angle(w))
-    tau = np.sqrt(abs(r1) / abs(r2))
-    sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
-    sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
-    g_al = g1 + tau ** 3 * g2
-    g_op = g1 - tau ** 3 * g2
-    cubics = np.zeros((n, 4, 4))
-    cubics[:, :, 0] = 2.0 * np.stack(
-        [_scalar_square(g2), _scalar_square(g1), g_al * g_al, g_op * g_op], axis=1)
-    cubics[:, :, 2] = (-6.0 * np.array([r2, r1, r1, r1])) * sigma2[:, None]
-    cubics[:, :, 3] = -sigma2[:, None]
-    amps = np.sqrt(stacked_positive_roots(cubics.reshape(-1, 4))).reshape(n, 4)
-    amp2, amp1, amp_al, amp_op = amps.T
-    cand = np.zeros((n, 8, 2), dtype=complex)
-    cand[:, 0, 1] = sat2
-    cand[:, 1, 1] = amp2
-    cand[:, (2, 4), 0] = (sat1 * chi)[:, None]
-    cand[:, 3, 0] = amp1 * chi
-    cand[:, (4, 6), 1] = tau * sat1
-    cand[:, 5] = np.stack([amp_al * chi, tau * amp_al], axis=1)
-    cand[:, 6, 0] = sat1 * -chi
-    cand[:, 7] = np.stack([amp_op * -chi, tau * amp_op], axis=1)
-    s = _sndr_stack(cand, h, h_tilde, sigma2)
-    finite = np.isfinite(s)
-    values = np.where(finite, -s, np.inf).tolist()
-    powers = np.linalg.norm(cand, axis=2).tolist()
-    out = np.full((n, 2), np.nan, dtype=complex)
-    for i in np.flatnonzero(finite.any(axis=1) & (w != 0)):
-        out[i] = cand[i, best_candidate(values[i], powers[i])[0]]
-    return out
-
-
-def _conventional_rows(q, h, h_tilde, sigma2):
-    """:func:`conventional_mrt`'s best ray point per row, NaN where it raises."""
-    c_hat = np.matmul(q, h.conj()[:, :, None])[:, :, 0] / _scalar_abs(h[:, 0])[:, None]
-    k0 = np.matmul(h[:, None, :], c_hat[:, :, None])[:, 0, 0]
-    k1 = np.matmul(h_tilde[:, None, :], (np.abs(c_hat) ** 2 * c_hat)[:, :, None])[:, 0, 0]
-    wre = _scalar_mul(k0, np.conj(k1)).real
-    a0, a1 = _scalar_square(_scalar_abs(k0)), _scalar_square(_scalar_abs(k1))
-    quartics = np.stack([
-        2.0 * a1 * wre,
-        2.0 * a1 * a0,
-        -3.0 * a1 * sigma2,
-        -4.0 * wre * sigma2,
-        -a0 * sigma2,
-    ], axis=1)
-    live = k1 != 0
-    roots = np.full((h.shape[0], 4), np.nan)
-    roots[live] = stacked_real_roots(quartics[live])
-    positive = roots > 0
-    rows = np.sqrt(np.where(positive, roots, np.nan))[:, :, None] * c_hat[:, None, :]
-    s = np.where(positive, _sndr_stack(rows, h, h_tilde, sigma2), -np.inf)
-    best = rows[np.arange(h.shape[0]), np.argmax(s, axis=1)]
-    best[~positive.any(axis=1)] = np.nan
-    return best
-
-
-def _distortion_aware_rows(q, h, rho, h_tilde, sigma2):
-    """:func:`distortion_aware_mrt`'s grid pick per row of nonzero entries."""
-    ref = _scalar_abs(np.linalg.solve(q, h.conj().T)[0])
-    ref = np.where(ref == 0, 1.0, ref)
-    eta_lo = 1e-7 / _scalar_square(ref)
-    gain_floor = 0.02
-    qmax = 2.0 / gain_floor - 1.0
-    habs = np.abs(h)
-    eta_hi = np.max((qmax ** 2 - 1.0) / (8.0 * np.abs(rho) * habs ** 2), axis=1)
-    eta_hi = np.maximum(eta_hi, eta_lo * 10.0)
-    etas = np.logspace(np.log10(eta_lo), np.log10(eta_hi), 200, axis=1)[:, :, None]
-    habs = habs[:, None, :]
-    disc = np.sqrt(1.0 - 8.0 * rho * habs ** 2 * etas)
-    amps = (1.0 - disc) / (4.0 * rho * habs * np.sqrt(etas))
-    rows = amps * np.exp(-1j * np.angle(h))[:, None, :]
-    best = np.argmax(_sndr_stack(rows, h, h_tilde, sigma2), axis=1)
-    return rows[np.arange(h.shape[0]), best]
+    rows = np.sqrt(p_grid)[:, None] * _ray_directions(q, h)
+    return np.log2(1.0 + _sndr(rows[None], h, h_tilde, sigma2))[0]
 
 
 def _design_rows(q, h, rho, sigma_w2, sigma_n2):
-    """The three designs on channel rows of nonzero entries, as stacked passes.
+    """The three designs on a stack of channel rows.
 
     Returns their ``(n, 3)`` SE and validity flags, and the rows that got
     a finite precoder and SE from every design.
     """
-    norm2 = (h.conj()[:, None, :] @ h[:, :, None])[:, 0, 0].real  # np.vdot(h, h) per row
-    h_tilde, sigma2 = 2.0 * h * rho, 2.0 * sigma_w2 * norm2 + 2.0 * sigma_n2
+    h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
     c_eff = np.stack([
-        _optimal_rows(h, rho, h_tilde, sigma2),
-        _distortion_aware_rows(q, h, rho, h_tilde, sigma2),
-        _conventional_rows(q, h, h_tilde, sigma2),
+        _optimal_rows(h, rho, h_tilde, sigma2)[0],
+        _distortion_aware_rows(q, h, rho, h_tilde, sigma2)[0],
+        _conventional_rows(q, h, h_tilde, sigma2)[0],
     ])
-    se = np.log2(1.0 + np.stack([_sndr_stack(c[:, None, :], h, h_tilde, sigma2) for c in c_eff], 1))
+    se = np.log2(1.0 + np.stack([_sndr(c[:, None, :], h, h_tilde, sigma2) for c in c_eff], 1))
     valid = np.min(1.0 + 2.0 * rho * np.abs(c_eff) ** 2, axis=2) >= -_GAIN_TOL
-    return se, valid.T, np.all(np.isfinite(c_eff), axis=(0, 2)) & ~np.isnan(se).any(axis=1)
+    return se, valid.T, np.all(np.isfinite(c_eff), axis=(0, 2)) & np.isfinite(se).all(axis=1)
 
 
 def design_se(channels, sigma_n2, hw) -> np.ndarray:
@@ -551,10 +486,9 @@ def design_se(channels, sigma_n2, hw) -> np.ndarray:
     :func:`conventional_mrt` on ``ChannelSpec(channels[i], sigma_n2)``,
     and the errors and ``BussgangGainWarning`` of a loop over those
     calls come from here too, in the same order.  Channels are solved in
-    stacked passes of a fixed size, with the operations of the
-    single-channel designs.  A row with a zero entry, or without a
-    stacked answer from some design, runs the single-channel designs;
-    so does every row of a pass that raises.
+    stacked passes of a fixed size.  A row without a finite answer from
+    some design, and every row of a pass that raises, runs the
+    single-channel designs, which raise as that loop would.
     """
     h = np.asarray(channels, dtype=complex)
     if h.ndim != 2:
@@ -566,18 +500,13 @@ def design_se(channels, sigma_n2, hw) -> np.ndarray:
     se = np.empty((h.shape[0], 3))
     for start in range(0, h.shape[0], _CHUNK):
         rows, out = h[start:start + _CHUNK], se[start:start + _CHUNK]
-        valid = np.ones(out.shape, dtype=bool)
-        answered = np.zeros(rows.shape[0], dtype=bool)
-        idx = np.flatnonzero(np.all(np.abs(rows) ** 2 > 0, axis=1))
         try:
             with np.errstate(all="ignore"):
-                out[idx], valid[idx], answered[idx] = _design_rows(
-                    q, rows[idx], rho, hw.sigma_w2, sigma_n2)
-        except (NumericalError, ValueError, OverflowError):
+                out[:], valid, answered = _design_rows(q, rows, rho, hw.sigma_w2, sigma_n2)
+        except (NumericalError, ValueError):
             # Raised by the single-row solvers that take a stack's odd
-            # rows, or by Python's float power on overflow: the loop
-            # below then meets the same error at its own row.
-            answered[:] = False
+            # rows: the loop below then meets the same error at its row.
+            valid, answered = np.ones(out.shape, dtype=bool), np.zeros(rows.shape[0], dtype=bool)
         for i in np.flatnonzero(~answered | ~valid.all(axis=1)):
             if answered[i]:
                 for _ in range(np.count_nonzero(~valid[i])):

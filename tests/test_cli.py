@@ -274,6 +274,18 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_channel_exits_three(self, tmp_path, capsys):
+        # A 1e-200 entry squares to 0 in the conventional design's
+        # quartic, whose coefficients then are not finite.
+        cfg = json.loads((ROOT / "configs" / "se_mrt_sweep.json").read_text(encoding="utf-8"))
+        cfg["channel"]["h"] = [[1e-200, 0.0], [1.0, 0.0]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", str(path), "--out", str(tmp_path / "out.csv")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestListExperiments:
     def test_prints_all_kinds_in_order(self, capsys):

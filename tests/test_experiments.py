@@ -1,7 +1,9 @@
 """Tests for the declarative experiment runner and its serialization."""
 
+import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +539,25 @@ class TestRender:
         a = run_experiment(dict(base, seed=1))
         b = run_experiment(dict(base, seed=2))
         assert a.rows != b.rows
+
+
+# First 16 hex digits of the SHA-256 of each shipped config's CSV table,
+# as printed by the README's behaviour-check one-liner.  A change that
+# moves one edits the pin and says why.
+CONFIG_DIGESTS = {
+    "backoff_vs_gain": "ee7575449ffdc465",
+    "gaussian_validation": "27c595080d8511b2",
+    "nmse_sweep": "acda6b5738e66ad4",
+    "se_average": "f06c4765a84de012",
+    "se_mrt_sweep": "c0674831de979bb4",
+    "se_perturbation": "72fbf0bfe114d42d",
+    "se_vs_crosstalk": "fb235a799677b50f",
+}
+
+
+def test_shipped_config_digests():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    assert sorted(path.stem for path in configs.glob("*.json")) == sorted(CONFIG_DIGESTS)
+    for name, digest in CONFIG_DIGESTS.items():
+        table = run_experiment(load_config(str(configs / (name + ".json"))))
+        assert hashlib.sha256(render(table, "csv").encode()).hexdigest()[:16] == digest, name

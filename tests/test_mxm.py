@@ -14,6 +14,7 @@ from dirtytx import (
     distortion_aware_mrt,
     empirical_nmse,
     minmax_backoff,
+    mrt_ray_curve,
     nmse_branches,
     simulate_batch,
 )
@@ -384,14 +385,8 @@ class TestMrtVariantsM:
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / np.sqrt(2.0)
         channel = ChannelSpec(h=h, sigma_n2=1.0)
         pair = mrt_variants_m(channel, hw)
-        from dirtytx.precoding import _mrt_direction, _noise_terms, _sndr
-
-        q = build_q_m(hw)
-        h_tilde, sigma2 = _noise_terms(h, hw.rho, hw.sigma_w2, channel.sigma_n2)
-        ray = _mrt_direction(q, h)
         grid = 1e-3 * 10 ** (np.linspace(-40.0, 20.0, 10 ** 4) / 10.0)
-        for p in grid[-10:]:
-            se_ray = np.log2(1.0 + _sndr(np.sqrt(p) * ray, h, h_tilde, sigma2))
+        for se_ray in mrt_ray_curve(channel, hw, grid[-10:]):
             assert pair["distortion_aware"].se >= se_ray + 1e-9
         assert pair["distortion_aware"].se >= pair["conventional"].se - 1e-9
 

@@ -107,6 +107,14 @@ class TestRealRoots:
         with pytest.raises(DegeneratePolynomialError):
             real_roots([5.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_is_a_typed_error(self, bad):
+        for coeffs in ([1.0, bad, -2.0], [bad, 0.0, 1.0], [1.0, 0.0, bad]):
+            with pytest.raises(DegeneratePolynomialError, match="finite"):
+                real_roots(coeffs)
+            with pytest.raises(DegeneratePolynomialError, match="finite"):
+                stacked_real_roots(np.tile(coeffs, (6, 1)))
+
 
 def row_by_row_roots(stack):
     """Rows of real_roots(...).roots, NaN-padded to the stack's degree."""
@@ -158,12 +166,13 @@ class TestStackedRealRoots:
         assert_same_roots(stacked_real_roots(stack), row_by_row_roots(stack))
 
     def test_rows_outside_the_stacked_pass_match_row_by_row(self):
-        stack = np.array([
+        # Two copies, so that the stack is above the row-by-row size.
+        stack = np.tile([
             [1e-20, 1.0, -3.0, 2.0, 0.5],   # leading coefficient trimmed away
             [1.0, -3.0, 2.0, 0.0, 0.0],      # zero constant: np.roots deflates it
             [0.0, 0.0, 1.0, 0.0, -4.0],      # exact leading zeros
             [1.0, 0.0, -5.0, 0.0, 4.0],      # stacked
-        ])
+        ], (2, 1))
         assert_same_roots(stacked_real_roots(stack), row_by_row_roots(stack))
 
     def test_errors_match_real_roots(self):
@@ -198,12 +207,13 @@ class TestStackedPositiveRoots:
         assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
 
     def test_rows_outside_the_closed_form_match_row_by_row(self):
-        stack = np.array([
+        # Two copies, so that the stack is above the row-by-row size.
+        stack = np.tile([
             [0.0, 0.0, 0.15, -0.3],         # zero cubic weight: a linear balance
             [2e-320, 0.0, 0.036, -0.3],     # the span overflows the closed-form test
             [1.0, -2.0, 2.0, -1.0],         # three sign changes
             [2.0, 0.0, 0.15, -0.3],         # closed form
-        ])
+        ], (2, 1))
         want = [unique_positive_root(row) for row in stack]
         assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
 
@@ -212,6 +222,58 @@ class TestStackedPositiveRoots:
             stacked_positive_roots([[2.0, 0.0, 0.15, -0.3], [1.0, 0.0, 0.0, 1.0]])
         with pytest.raises(ValueError, match="2-D"):
             stacked_positive_roots([2.0, 0.0, 0.15, -0.3])
+
+
+def spy(monkeypatch, name):
+    """Record the argument of every call to ``polyroots.<name>``."""
+    seen, fn = [], getattr(polyroots, name)
+
+    def wrapper(coeffs):
+        seen.append(coeffs)
+        return fn(coeffs)
+
+    monkeypatch.setattr(polyroots, name, wrapper)
+    return seen
+
+
+class TestRowByRowRule:
+    """Stacks of one channel's polynomials (up to four rows) are solved
+    row by row; larger stacks take the stacked pass.  Both give the
+    row-by-row results."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_quartic_stacks(self, n, monkeypatch):
+        rng = np.random.default_rng(337 + n)
+        k1, k0, wre = (10.0 ** rng.uniform(-3, 3, n) for _ in range(3))
+        sigma2 = 10.0 ** rng.uniform(-2, 2, n)
+        stack = np.stack([2 * k1 * -wre, 2 * k1 * k0, -3 * k1 * sigma2, 4 * wre * sigma2,
+                          -k0 * sigma2], axis=1)
+        want = row_by_row_roots(stack)
+        seen = spy(monkeypatch, "real_roots")
+        got = stacked_real_roots(stack)
+        if n <= 4:
+            assert len(seen) == n
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert not seen
+            assert_same_roots(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_cubic_stacks(self, n, monkeypatch):
+        rng = np.random.default_rng(347 + n)
+        g2 = 10.0 ** rng.uniform(-6, 4, n)
+        rho = -(10.0 ** rng.uniform(-3, 0, n))
+        sigma2 = 10.0 ** rng.uniform(-6, 1, n)
+        stack = np.stack([2.0 * g2, 0.0 * g2, -6.0 * rho * sigma2, -sigma2], axis=1)
+        want = [unique_positive_root(row) for row in stack]
+        seen = spy(monkeypatch, "unique_positive_root")
+        got = stacked_positive_roots(stack)
+        if n <= 4:
+            assert len(seen) == n
+            assert np.array_equal(got, want)
+        else:
+            assert not seen
+            assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestUniquePositiveRoot:
@@ -368,11 +430,15 @@ class TestClosedFormCubic:
     def test_zero_gain_degrades_to_linear_balance(self):
         rho, sigma2 = -0.02, 0.3
         balance = 1.0 / (-6.0 * rho)
-        assert_allclose(precoding._amp_cubic_root(0.0, rho, sigma2) ** 2, balance, rtol=1e-15)
+
+        def amplitude_cubic_root(g2):
+            return unique_positive_root([2.0 * g2, 0.0, -6.0 * rho * sigma2, -sigma2])
+
+        assert_allclose(amplitude_cubic_root(0.0), balance, rtol=1e-15)
         # A small but untrimmed gain stays on the closed form and next
         # to the balance: s = balance - 2 g^2 s^3 / (6 |rho| sigma2).
         g2 = 1e-12
-        s = precoding._amp_cubic_root(g2, rho, sigma2) ** 2
+        s = amplitude_cubic_root(g2)
         assert s < balance
         assert_allclose(s, balance - 2.0 * g2 * balance ** 3 / (-6.0 * rho * sigma2), rtol=1e-12)
 

@@ -27,6 +27,7 @@ from dirtytx import (
     sndr,
 )
 from dirtytx import precoding
+from dirtytx.errors import DegeneratePolynomialError, NoFiniteOptimumError, NumericalError
 from oracles import (
     precoder_candidates,
     random_channels,
@@ -169,7 +170,7 @@ class TestOptimalPrecoder:
         stacks = []
 
         def recording(c_eff, *args):
-            if np.ndim(c_eff) == 2:
+            if c_eff.shape[1] > 1:
                 stacks.append(c_eff)
             return score(c_eff, *args)
 
@@ -194,8 +195,8 @@ class TestOptimalPrecoder:
             stacks.clear()
             sol = optimal_precoder(ChannelSpec(h=h, sigma_n2=sigma_n2), hw)
             (scored,) = stacks
-            assert scored.shape == (8, 2)
-            gap = np.linalg.norm(scored - rows, axis=1) / np.linalg.norm(rows, axis=1)
+            assert scored.shape == (1, 8, 2)
+            gap = np.linalg.norm(scored[0] - rows, axis=1) / np.linalg.norm(rows, axis=1)
             assert np.all(gap <= 1e-12)
             assert sol.provenance == tags[pick]
             assert abs(sol.se - np.log2(1.0 + scores[pick])) <= 1e-12
@@ -371,10 +372,21 @@ class TestConventionalMrt:
         sol = conventional_mrt(ch, hw)
         assert np.isfinite(sol.se) and sol.se > 0
 
+    @pytest.mark.parametrize("rows", [1, 6])
+    def test_distortion_free_ray_has_no_stationary_point(self, rows):
+        # With no distortion weight the ray SNDR only rises, so the
+        # quartic step gives no ray power, on one row and on a stack.
+        ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
+        q, h, _, h_tilde, sigma2 = precoding._design_inputs(ch, reference_hw())
+        h, sigma2 = np.repeat(h, rows, axis=0), np.repeat(sigma2, rows)
+        c_eff, power = precoding._conventional_rows(q, h, 0.0 * h, sigma2)
+        assert np.isnan(power).all() and np.isnan(c_eff).all()
+
 
 def family(ch, hw):
     """The distortion-aware family's ``(etas, rows, sndr)`` on ``ch``."""
-    return precoding._da_family(*precoding._design_inputs(ch, hw))
+    etas, rows, scores = precoding._distortion_aware_family(*precoding._design_inputs(ch, hw))
+    return etas[0], rows[0], scores[0]
 
 
 class TestDistortionAwareMrt:
@@ -599,7 +611,8 @@ class TestDesignSe:
             assert_allclose(design_se(channels, sigma_n2, hw), want, rtol=1e-12, atol=0.0)
 
     def test_rows_with_a_zero_entry_take_the_scalar_designs(self, monkeypatch):
-        # The other rows never reach the scalar designs.
+        # The stacked steps answer rows with a zero entry themselves, so
+        # no row reaches the single-channel designs.
         rng = np.random.default_rng(4003)
         channels = random_channels(rng, 6)
         channels[1, 0] = 0.0
@@ -607,9 +620,9 @@ class TestDesignSe:
         channels[4, 1] = 0.0
         hw = random_hardware(rng)
         want = scalar_design_se(channels, 1.0, hw)
+        refuse_scalar_designs(monkeypatch)
         assert_allclose(design_se(channels, 1.0, hw), want, rtol=1e-12, atol=0.0)
         assert_allclose(design_se(channels[[1, 4]], 1.0, hw), want[[1, 4]], rtol=1e-12, atol=0.0)
-        refuse_scalar_designs(monkeypatch)
         assert_allclose(design_se(channels[[0, 2, 5]], 1.0, hw), want[[0, 2, 5]],
                         rtol=1e-12, atol=0.0)
 
@@ -671,3 +684,45 @@ class TestDesignSe:
         seen = [(w.category, str(w.message)) for w in got]
         assert seen == [(w.category, str(w.message)) for w in want]
         assert seen and all(category is BussgangGainWarning for category, _ in seen)
+
+
+class TestExtremeChannels:
+    """Entries that pass ``ChannelSpec`` but square past the float range."""
+
+    @pytest.mark.parametrize("bad", [[1e-200, 1.0], [1e154, 1.0], [1e200, 1.0]])
+    def test_non_finite_polynomials_raise_typed_errors(self, bad):
+        hw = benchmark_hw(True)
+        channels = np.vstack([random_channels(np.random.default_rng(4017), 3), [bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
+            with pytest.raises(DegeneratePolynomialError, match="finite"):
+                conventional_mrt(ch, hw)
+            if bad[0] == 1e200:
+                with pytest.raises(DegeneratePolynomialError, match="finite"):
+                    optimal_precoder(ch, hw)
+            with pytest.raises(NumericalError):
+                design_se(channels, 1.0, hw)
+
+    @pytest.mark.parametrize("bad", [[1e-160, 1e-160], [1e154, 1.0], [1e200, 1.0]])
+    def test_no_design_returns_a_non_finite_se(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
+            with pytest.raises(NoFiniteOptimumError):
+                distortion_aware_mrt(ch, benchmark_hw(True))
+
+    def test_design_se_raises_at_the_non_finite_row(self):
+        # The optimal and conventional designs give 0 bit on this row;
+        # the distortion-aware family is not finite there.
+        hw = benchmark_hw(True)
+        bad = ChannelSpec(h=np.array([1e-160, 1e-160], dtype=complex), sigma_n2=1.0)
+        assert optimal_precoder(bad, hw).se == 0.0
+        assert conventional_mrt(bad, hw).se == 0.0
+        rng = np.random.default_rng(4019)
+        channels = np.vstack([random_channels(rng, 3), [bad.h], random_channels(rng, 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NoFiniteOptimumError):
+                design_se(channels, 1.0, hw)
+            assert np.isfinite(design_se(np.delete(channels, 3, axis=0), 1.0, hw)).all()
