@@ -269,7 +269,7 @@ def _ray_directions(q, h):
     is nonzero (else by ``||h||``)."""
     ref = _scalar_abs(h[:, 0])
     if not ref.all():
-        ref = np.where(ref == 0, np.linalg.norm(h, axis=1), ref)
+        ref[ref == 0] = [np.linalg.norm(row) for row in h[ref == 0]]
     return np.matmul(q, h.conj()[:, :, None])[:, :, 0] / ref[:, None]
 
 
