@@ -134,14 +134,21 @@ def _noise_terms(h, rho, sigma_w2, sigma_n2):
 # keeps the bits the shipped configs' digests pin.
 
 def _sndr(c_eff, h, h_tilde, sigma2):
-    """Scalar-form SNDR of ``(n, k, M)`` precoders, ``k`` per channel row of ``h``."""
+    """Scalar-form SNDR per channel row of ``h``.
+
+    ``(n, k, M)`` precoders, ``k`` per row, give ``(n, k)``; ``(n, M)``
+    precoders, one per row, give ``(n,)`` with the last steps rounded as
+    numpy's scalar arithmetic rounds them.
+    """
+    one = c_eff.ndim == 2
+    if one:
+        c_eff = c_eff[:, None, :]
     cubic = np.abs(c_eff) ** 2 * c_eff
-    lin = np.matmul(c_eff, h[:, :, None])
-    dist = np.matmul(cubic, h_tilde[:, :, None])
-    if c_eff.shape[1] == 1:
-        lin, dist = lin[:, 0, 0], dist[:, 0, 0]
+    lin = np.matmul(c_eff, h[:, :, None])[..., 0]
+    dist = np.matmul(cubic, h_tilde[:, :, None])[..., 0]
+    if one:
+        lin, dist = lin[:, 0], dist[:, 0]
         return 2.0 * _scalar_square(np.abs(lin + dist)) / (_scalar_square(np.abs(dist)) + sigma2)
-    lin, dist = lin[..., 0], dist[..., 0]
     return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2[:, None])
 
 
@@ -163,7 +170,7 @@ def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
     h = channel.h[None]
     h_tilde, sigma2 = _noise_terms(h, np.asarray(hw.rho, dtype=float), hw.sigma_w2,
                                    channel.sigma_n2)
-    return float(_sndr(np.asarray(c_eff, dtype=complex)[None, None], h, h_tilde, sigma2)[0])
+    return float(_sndr(np.asarray(c_eff, dtype=complex)[None], h, h_tilde, sigma2)[0])
 
 
 def achievable_se(sndr_value: float) -> float:
@@ -180,7 +187,7 @@ def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution
     ``NoFiniteOptimumError``.
     """
     c_eff = np.asarray(c_eff, dtype=complex)
-    s = float(_sndr(c_eff[None, None], h, h_tilde, sigma2)[0])
+    s = float(_sndr(c_eff[None], h, h_tilde, sigma2)[0])
     if not (math.isfinite(s) and np.isfinite(c_eff).all()):
         raise NoFiniteOptimumError("the design has no finite precoder and SNDR on this channel")
     c = np.linalg.solve(q, c_eff)
@@ -472,7 +479,7 @@ def _design_rows(q, h, rho, sigma_w2, sigma_n2):
         _distortion_aware_rows(q, h, rho, h_tilde, sigma2)[0],
         _conventional_rows(q, h, h_tilde, sigma2)[0],
     ])
-    se = np.log2(1.0 + np.stack([_sndr(c[:, None, :], h, h_tilde, sigma2) for c in c_eff], 1))
+    se = np.log2(1.0 + np.stack([_sndr(c, h, h_tilde, sigma2) for c in c_eff], 1))
     valid = np.min(1.0 + 2.0 * rho * np.abs(c_eff) ** 2, axis=2) >= -_GAIN_TOL
     return se, valid.T, np.all(np.isfinite(c_eff), axis=(0, 2)) & np.isfinite(se).all(axis=1)
 

@@ -170,7 +170,7 @@ class TestOptimalPrecoder:
         stacks = []
 
         def recording(c_eff, *args):
-            if c_eff.shape[1] > 1:
+            if c_eff.ndim == 3:
                 stacks.append(c_eff)
             return score(c_eff, *args)
 
@@ -371,6 +371,13 @@ class TestConventionalMrt:
         ch = ChannelSpec(h=np.array([0.0, 0.8 - 0.5j]), sigma_n2=1.0)
         sol = conventional_mrt(ch, hw)
         assert np.isfinite(sol.se) and sol.se > 0
+
+    def test_one_point_ray_curve_is_an_array(self):
+        # A one-point grid scores like any other grid point.
+        ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
+        one = mrt_ray_curve(ch, reference_hw(), [2e-3])
+        assert one.shape == (1,)
+        assert np.array_equal(one, mrt_ray_curve(ch, reference_hw(), [2e-3, 5e-3])[:1])
 
     @pytest.mark.parametrize("rows", [1, 6])
     def test_distortion_free_ray_has_no_stationary_point(self, rows):
