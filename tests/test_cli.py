@@ -275,8 +275,8 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_overflowing_channel_exits_three(self, tmp_path, capsys):
-        # A 1e-200 entry squares to 0 in the conventional design's
-        # quartic, whose coefficients then are not finite.
+        # A first entry of 1e-200 normalizes the matched-filter ray to
+        # about 1e200, so the conventional design's quartic overflows.
         cfg = json.loads((ROOT / "configs" / "se_mrt_sweep.json").read_text(encoding="utf-8"))
         cfg["channel"]["h"] = [[1e-200, 0.0], [1.0, 0.0]]
         path = tmp_path / "config.json"
