@@ -463,11 +463,10 @@ def _run_se_vs_crosstalk(cfg, units, seed):
     parts = _parse_hardware(cfg, units, compressive=True)
     count, sigma_n2 = _parse_channel_distribution(cfg, units)
     k_grid = _grid(_section(cfg, "sweep", ("crosstalk2",)), "sweep.crosstalk2", units.ratio)
-    channels = _draw_channels(seed, count)
-    rows = []
-    for k2 in k_grid:
-        se = design_se(channels, sigma_n2, _build_hw(parts, kappa2=float(k2)))
-        rows.append([linear_to_db(k2), *(float(np.mean(se[:, k])) for k in range(3))])
+    hws = [_build_hw(parts, kappa2=float(k2)) for k2 in k_grid]
+    se = design_se(_draw_channels(seed, count), sigma_n2, hws)
+    rows = [[linear_to_db(k2), *(float(np.mean(s[:, k])) for k in range(3))]
+            for k2, s in zip(k_grid, se)]
     names = ["crosstalk2", "mean_se_optimal", "mean_se_distortion_aware", "mean_se_conventional"]
     col_units = ["dB", "bit", "bit", "bit"]
     return names, col_units, rows, {"n_channels": count}

@@ -273,7 +273,8 @@ def _optimal_rows(h, rho, h_tilde, sigma2):
 def _ray_directions(q, h):
     """Effective-domain matched-filter ray per channel row, normalized so
     that the ray parameter is the branch-1 reference power whenever h1
-    is nonzero (else by ``||h||``)."""
+    is nonzero (else by ``||h||``).  ``q`` is one coupling matrix or one
+    per row, as in the other steps."""
     ref = _scalar_abs(h[:, 0])
     if not ref.all():
         ref[ref == 0] = [np.linalg.norm(row) for row in h[ref == 0]]
@@ -315,9 +316,9 @@ def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
 
     Per channel row, the 200-point logarithmic grid of the search
     parameter ``eta`` starts (through the small-signal relation ``p_x ~
-    eta |(Q^-1 h*)_1|^2``) at roughly -40 dBm of reference power and
-    ends where every branch is within two percent Bussgang gain of
-    saturation, which is where the reachable power curve plateaus.
+    eta |(Q^-1 h*)_1|^2``, with the row's ``Q``) at roughly -40 dBm of
+    reference power and ends where every branch is within two percent
+    Bussgang gain of saturation, where the reachable power curve plateaus.
     Entry ``[i, k]`` holds the positive fixed points of ``c_eff[l] =
     sqrt(eta_k) h[i, l]* (1 + 2 rho[l] |c_eff[l]|^2)``, which exist for
     every eta > 0 because rho < 0 keeps the quadratic discriminant at
@@ -325,7 +326,7 @@ def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
     Returns ``(etas, rows, sndr)`` of shapes ``(n, 200)``, ``(n, 200,
     M)`` and ``(n, 200)``.
     """
-    ref = _scalar_abs(np.linalg.solve(q, h.conj().T)[0])
+    ref = _scalar_abs(np.linalg.solve(q, h.conj()[:, :, None])[:, 0, 0])
     ref = np.where(ref == 0, 1.0, ref)
     eta_lo = 1e-7 / _scalar_square(ref)
     gain_floor = 0.02
@@ -468,7 +469,7 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
 
 
 def _design_rows(q, h, rho, sigma_w2, sigma_n2):
-    """The three designs on a stack of channel rows.
+    """The three designs on a stack of channel rows, row ``i`` coupled by ``q[i]``.
 
     Returns their ``(n, 3)`` SE and validity flags, and the rows that got
     a finite precoder and SE from every design.
@@ -488,28 +489,47 @@ def design_se(channels, sigma_n2, hw) -> np.ndarray:
     """SE of the optimal, distortion-aware and conventional designs per channel.
 
     ``channels`` is an ``(n, 2)`` stack of channel rows with the common
-    receiver noise ``sigma_n2``.  Row ``i`` of the ``(n, 3)`` result is
-    the SE of :func:`optimal_precoder`, :func:`distortion_aware_mrt` and
-    :func:`conventional_mrt` on ``ChannelSpec(channels[i], sigma_n2)``,
-    and the errors and ``BussgangGainWarning`` of a loop over those
-    calls come from here too, in the same order.  Channels are solved in
-    stacked passes of a fixed size.  A row without a finite answer from
-    some design, and every row of a pass that raises, runs the
-    single-channel designs, which raise as that loop would.
+    receiver noise ``sigma_n2``.  With one hardware container ``hw``, row
+    ``i`` of the ``(n, 3)`` result is the SE of :func:`optimal_precoder`,
+    :func:`distortion_aware_mrt` and :func:`conventional_mrt` on
+    ``ChannelSpec(channels[i], sigma_n2)``.  A list or tuple of ``k``
+    containers that share ``rho`` and ``sigma_w2`` (a crosstalk or gain
+    sweep) gives ``(k, n, 3)``, ``[j, i]`` being that row on point ``j``;
+    an empty one gives ``(0, n, 3)``.  Only the coupling matrix ``Q``
+    differs between points, so every row carries its own; the optimal
+    column does not depend on it, as its candidates live in the ``c_eff``
+    domain.  The errors and ``BussgangGainWarning`` of a loop over
+    (point, channel) come from here too, in the same order.  All points x
+    channels are solved in point-major stacked passes of a fixed size.
+    A row without a finite answer from some design, and every row of a
+    pass that raises, runs the single-channel designs with its point's
+    hardware, which raise as that loop would.
     """
+    many = isinstance(hw, (list, tuple))
+    points = list(hw) if many else [hw]
     h = np.asarray(channels, dtype=complex)
     if h.ndim != 2:
         raise ValueError("channels must be a 2-D stack of channel rows")
     _check_channels(h, sigma_n2)
-    q, rho = _hw_inputs(hw, h.shape[1])
+    inputs = [_hw_inputs(point, h.shape[1]) for point in points]
+    n = h.shape[0]
+    if not inputs:
+        return np.empty((0, n, 3))
+    rho, sigma_w2 = inputs[0][1], points[0].sigma_w2
     if rho.size != 2:
         raise ValueError("the optimal precoder needs exactly two branches")
+    if any(not np.array_equal(r, rho) or p.sigma_w2 != sigma_w2
+           for (_, r), p in zip(inputs, points)):
+        raise ValueError("hardware points of one design_se call must share rho and sigma_w2")
+    q = np.repeat([q for q, _ in inputs], n, axis=0)
+    h = np.tile(h, (len(points), 1))
     se = np.empty((h.shape[0], 3))
     for start in range(0, h.shape[0], _CHUNK):
         rows, out = h[start:start + _CHUNK], se[start:start + _CHUNK]
         try:
             with np.errstate(all="ignore"):
-                out[:], valid, answered = _design_rows(q, rows, rho, hw.sigma_w2, sigma_n2)
+                out[:], valid, answered = _design_rows(q[start:start + _CHUNK], rows, rho,
+                                                       sigma_w2, sigma_n2)
         except (NumericalError, ValueError):
             # Raised by the single-row solvers that take a stack's odd
             # rows: the loop below then meets the same error at its row.
@@ -519,7 +539,8 @@ def design_se(channels, sigma_n2, hw) -> np.ndarray:
                 for _ in range(np.count_nonzero(~valid[i])):
                     warnings.warn(_SATURATION, BussgangGainWarning, stacklevel=2)
                 continue
-            ch = ChannelSpec(h=rows[i], sigma_n2=sigma_n2)
-            out[i] = (optimal_precoder(ch, hw).se, distortion_aware_mrt(ch, hw).se,
-                      conventional_mrt(ch, hw).se)
-    return se
+            ch, point = ChannelSpec(h=rows[i], sigma_n2=sigma_n2), points[(start + i) // n]
+            out[i] = (optimal_precoder(ch, point).se, distortion_aware_mrt(ch, point).se,
+                      conventional_mrt(ch, point).se)
+    se = se.reshape(len(points), n, 3)
+    return se if many else se[0]

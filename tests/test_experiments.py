@@ -466,6 +466,18 @@ class TestSeVsCrosstalk:
         two = run_experiment(dict(base, sweep={"crosstalk2": [-60.0, -50.0]}))
         assert one.rows[0] == two.rows[0]
 
+    def test_empty_sweep_yields_empty_table(self):
+        cfg = {
+            "experiment": "se-vs-crosstalk",
+            "hardware": HW_BLOCK,
+            "units": dict(UNITS, **{"sweep.crosstalk2": "dB"}),
+            "channel_distribution": {"count": 8, "sigma_n2": 1.0},
+            "sweep": {"crosstalk2": []},
+        }
+        table = run_experiment(cfg)
+        assert table.rows == []
+        assert "crosstalk2 [dB],mean_se_optimal [bit]" in render(table, "csv")
+
 
 class TestResultTable:
     def test_non_finite_rows_rejected(self):

@@ -1,8 +1,9 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dirtytx import (
     BussgangGainWarning,
@@ -615,7 +616,7 @@ class TestDesignSe:
             channels = random_channels(rng, n) * 10.0 ** rng.uniform(-1.0, 1.0, (n, 1))
             sigma_n2 = 10.0 ** rng.uniform(-1.0, 1.0)
             want = scalar_design_se(channels, sigma_n2, hw)
-            assert_allclose(design_se(channels, sigma_n2, hw), want, rtol=1e-12, atol=0.0)
+            assert_array_equal(design_se(channels, sigma_n2, hw), want)
 
     def test_rows_with_a_zero_entry_take_the_scalar_designs(self, monkeypatch):
         # The stacked steps answer rows with a zero entry themselves, so
@@ -628,10 +629,9 @@ class TestDesignSe:
         hw = random_hardware(rng)
         want = scalar_design_se(channels, 1.0, hw)
         refuse_scalar_designs(monkeypatch)
-        assert_allclose(design_se(channels, 1.0, hw), want, rtol=1e-12, atol=0.0)
-        assert_allclose(design_se(channels[[1, 4]], 1.0, hw), want[[1, 4]], rtol=1e-12, atol=0.0)
-        assert_allclose(design_se(channels[[0, 2, 5]], 1.0, hw), want[[0, 2, 5]],
-                        rtol=1e-12, atol=0.0)
+        assert_array_equal(design_se(channels, 1.0, hw), want)
+        assert_array_equal(design_se(channels[[1, 4]], 1.0, hw), want[[1, 4]])
+        assert_array_equal(design_se(channels[[0, 2, 5]], 1.0, hw), want[[0, 2, 5]])
 
     @pytest.mark.parametrize("bad", [
         [1e200, 1.0], [1e-200, 1.0], [1e160, 1e160j], [1e-160, 1e-160],
@@ -648,7 +648,7 @@ class TestDesignSe:
                 with pytest.raises(type(exc)):
                     design_se(channels, 1.0, hw)
             else:
-                assert_allclose(design_se(channels, 1.0, hw), want, rtol=1e-12, atol=0.0)
+                assert_array_equal(design_se(channels, 1.0, hw), want)
 
     def test_invalid_input_gives_the_scalar_messages(self):
         good = random_channels(np.random.default_rng(4009), 3)
@@ -687,10 +687,98 @@ class TestDesignSe:
         refuse_scalar_designs(monkeypatch)
         with warnings.catch_warnings(record=True) as got:
             warnings.simplefilter("always")
-            assert_allclose(design_se(channels, sigma_n2, hw), expected, rtol=1e-12, atol=0.0)
+            assert_array_equal(design_se(channels, sigma_n2, hw), expected)
         seen = [(w.category, str(w.message)) for w in got]
         assert seen == [(w.category, str(w.message)) for w in want]
         assert seen and all(category is BussgangGainWarning for category, _ in seen)
+
+
+def crosstalk_points(hw, kappa2_db, rng):
+    """``hw`` at each squared crosstalk of a sweep, with random phases; ``rho``
+    and ``sigma_w2`` stay shared."""
+    return [dataclasses.replace(hw, kappa=tuple(
+        np.sqrt(10.0 ** (k / 10.0)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 2))))
+        for k in kappa2_db]
+
+
+class TestDesignSePoints:
+    """design_se on a sequence of hardware points, as a crosstalk sweep passes it."""
+
+    @pytest.mark.parametrize("n", [10, 100])
+    def test_matches_per_point_calls(self, n):
+        # 3 x 100 rows cross a pass boundary, so passes mix points.
+        rng = np.random.default_rng(4021 + n)
+        for hw in [benchmark_hw(False), benchmark_hw(True), random_hardware(rng),
+                   random_hardware(rng)]:
+            points = crosstalk_points(hw, rng.uniform(-70.0, -55.0, 3), rng)
+            channels = random_channels(rng, n) * 10.0 ** rng.uniform(-1.0, 1.0, (n, 1))
+            sigma_n2 = 10.0 ** rng.uniform(-1.0, 1.0)
+            want = np.stack([design_se(channels, sigma_n2, point) for point in points])
+            got = design_se(channels, sigma_n2, points)
+            assert got.shape == (3, n, 3)
+            assert_array_equal(got, want)
+            assert_array_equal(design_se(channels, sigma_n2, tuple(points[:1])), want[:1])
+
+    def test_raising_pass_runs_each_row_on_its_point(self, monkeypatch):
+        rng = np.random.default_rng(4027)
+        points = crosstalk_points(benchmark_hw(True), (-70.0, -62.0, -55.0), rng)
+        channels = random_channels(rng, 100)
+        want = design_se(channels, 1.0, points)
+
+        def refuse(*args):
+            raise NoFiniteOptimumError("stacked pass refused")
+
+        monkeypatch.setattr(precoding, "_design_rows", refuse)
+        assert_array_equal(design_se(channels, 1.0, points), want)
+
+    def test_saturating_point_gives_the_loop_warnings(self, monkeypatch):
+        hw, h, sigma_n2 = saturating_case()
+        rng = np.random.default_rng(4029)
+        points = crosstalk_points(hw, (-60.0,), rng) + [hw] + crosstalk_points(hw, (-55.0,), rng)
+        channels = np.vstack([random_channels(rng, 2), [h], random_channels(rng, 2), [2.0 * h]])
+        with warnings.catch_warnings(record=True) as want:
+            warnings.simplefilter("always")
+            expected = np.stack([scalar_design_se(channels, sigma_n2, point) for point in points])
+        refuse_scalar_designs(monkeypatch)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            assert_array_equal(design_se(channels, sigma_n2, points), expected)
+        seen = [(w.category, str(w.message)) for w in got]
+        assert seen == [(w.category, str(w.message)) for w in want]
+        assert seen and all(category is BussgangGainWarning for category, _ in seen)
+
+    @pytest.mark.parametrize("bad", [[1e200, 1.0], [1e-160, 1e-160]])
+    def test_raising_row_gives_the_loop_warnings_and_error(self, bad):
+        hw, h, sigma_n2 = saturating_case()
+        rng = np.random.default_rng(4031)
+        points = crosstalk_points(hw, (-60.0,), rng) + [hw] + crosstalk_points(hw, (-55.0,), rng)
+        channels = np.vstack([[h], random_channels(rng, 2), [bad], [2.0 * h]])
+
+        def outcome(run):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                # The input check's overflow warnings come first in design_se.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with pytest.raises(NumericalError) as err:
+                    run()
+            return type(err.value), [(w.category, str(w.message)) for w in seen]
+
+        want = outcome(lambda: [scalar_design_se(channels, sigma_n2, point) for point in points])
+        assert want[1]
+        assert outcome(lambda: design_se(channels, sigma_n2, points)) == want
+
+    def test_points_must_share_rho_and_sigma_w2(self):
+        hw = benchmark_hw(False)
+        channels = random_channels(np.random.default_rng(4033), 4)
+        for other in (dataclasses.replace(hw, rho=(-0.025, -0.03)),
+                      dataclasses.replace(hw, sigma_w2=2.0 * hw.sigma_w2)):
+            with pytest.raises(ValueError, match="must share rho and sigma_w2"):
+                design_se(channels, 1.0, [hw, other, hw])
+
+    def test_empty_sequence_gives_no_points(self):
+        channels = random_channels(np.random.default_rng(4037), 4)
+        for points in ([], ()):
+            assert design_se(channels, 1.0, points).shape == (0, 4, 3)
 
 
 class TestExtremeChannels:
