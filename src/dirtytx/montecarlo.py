@@ -8,8 +8,12 @@ identities and marginal distributions.
 
 The solver runs damped fixed-point sweeps from the linearized output,
 checked every few sweeps, and one batched Newton solve for the
-stragglers.  Randomness is consumed in a fixed order (inputs first,
-thermal noise second) and samples are solved in fixed-size chunks.
+stragglers.  Both work on the float view ``[Re u_1, Im u_1, ...]`` of
+each chunk through one real-form feedback map, two small real matmuls
+per evaluation, and each residual test's map value is the next sweep,
+so no map value is computed twice.  Randomness is consumed in a fixed
+order (inputs first, thermal noise second) and samples are solved in
+fixed-size chunks.
 :func:`simulate_batch` and :func:`empirical_nmse` take either pair of
 containers, of any branch count; the M-branch ``mxm.simulate_batch_m``
 and ``mxm.empirical_nmse_m`` are single calls to them.
@@ -63,81 +67,106 @@ def _pa_output(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return u + rho * u * np.abs(u) ** 2
 
 
-def _feedback_map(u, lx, k_t, rho):
-    return lx + _pa_output(u, rho) @ k_t
+def _real_form(k, rho):
+    """``(d_rho, k_r)`` of the real-form map on the interleaved view ``[Re, Im]``.
+
+    ``(v * v) @ d_rho`` puts ``rho_l |u_l|^2`` in both slots of branch
+    ``l``, and ``r @ k_r`` is the view of the complex ``r @ k^T``.
+    """
+    d_rho = np.kron(np.diag(rho), np.ones((2, 2)))
+    k_r = np.empty((2 * k.shape[1], 2 * k.shape[0]))
+    k_r[0::2, 0::2] = k_r[1::2, 1::2] = k.real.T
+    k_r[0::2, 1::2] = k.imag.T
+    k_r[1::2, 0::2] = -k.imag.T
+    return d_rho, k_r
 
 
-def _residual_norms(u, lx, k_t, rho):
-    return np.linalg.norm(u - _feedback_map(u, lx, k_t, rho), axis=1)
+def _real_map(v, lxv, d_rho, k_r):
+    """The feedback map ``gamma x + k r(u)`` on the float view ``v`` of ``u``."""
+    return lxv + (v * (1.0 + (v * v) @ d_rho)) @ k_r
 
 
-def _tolerance(u):
-    return _REL_TOL * np.linalg.norm(u, axis=1) + 1e-300
+def _norms(v):
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
-def _newton(u, lx, k, rho, open_):
-    """Batched Newton on the stacked real system ``[Re u, Im u]``.
+def _tolerance(v):
+    return _REL_TOL * _norms(v) + 1e-300
 
-    Refines the rows ``open_`` of ``u`` in place, with one real 2M x 2M
+
+def _newton(v, lxv, d_rho, k_r, rho, open_):
+    """Batched Newton on the real view ``v`` of the internal signals.
+
+    Refines the rows ``open_`` of ``v`` in place, with one real 2M x 2M
     Jacobian per row and one ``np.linalg.solve`` call per iteration,
     and returns the rows that did not converge.
     """
-    m = u.shape[1]
-    # The real form of k, split into the columns acting on Re r and Im r.
-    k_re, k_im = np.vstack((k.real, k.imag)), np.vstack((-k.imag, k.real))
+    # Columns of k_r^T acting on the Re and Im slots of each branch's r.
+    k_re, k_im = k_r.T[:, 0::2], k_r.T[:, 1::2]
     for it in range(_MAX_NEWTON + 1):
-        uo = u[open_]
-        f = uo - _feedback_map(uo, lx[open_], k.T, rho)
-        stay = ~(np.linalg.norm(f, axis=1) <= _tolerance(uo))
-        open_, uo, f = open_[stay], uo[stay], f[stay]
+        vo = v[open_]
+        f = vo - _real_map(vo, lxv[open_], d_rho, k_r)
+        stay = ~(_norms(f) <= _tolerance(vo))
+        open_, vo, f = open_[stay], vo[stay], f[stay]
         if it == _MAX_NEWTON or open_.size == 0:
             break
-        a, b = uo.real[:, None, :], uo.imag[:, None, :]
+        a, b = vo[:, None, 0::2], vo[:, None, 1::2]
         # Real Jacobian of u + rho u |u|^2, per branch, on (Re, Im).
         d_rr = 1.0 + rho * (3.0 * a * a + b * b)
         d_ri = rho * 2.0 * a * b
         d_ii = 1.0 + rho * (a * a + 3.0 * b * b)
-        jac = np.eye(2 * m) - np.concatenate(
-            (k_re * d_rr + k_im * d_ri, k_re * d_ri + k_im * d_ii), axis=2
-        )
+        jac = np.empty((open_.size,) + k_r.shape)
+        jac[:, :, 0::2] = k_re * d_rr + k_im * d_ri
+        jac[:, :, 1::2] = k_re * d_ri + k_im * d_ii
         try:
-            step = np.linalg.solve(jac, np.concatenate((f.real, f.imag), axis=1)[..., None])
+            step = np.linalg.solve(np.eye(k_r.shape[0]) - jac, f[..., None])
         except np.linalg.LinAlgError:
             break
-        u[open_] = uo - (step[:, :m, 0] + 1j * step[:, m:, 0])
+        v[open_] = vo - step[..., 0]
     return open_
 
 
 def _solve_chunk(x, gamma, k, rho, q):
     """Solve the feedback system ``u = gamma x + k r(u)`` for one chunk.
 
-    Starts from the linearized ``u = x q^T``.  Each open sample runs
-    blocks of damped sweeps ``u <- (1 - alpha) u + alpha F(u)`` with one
-    residual test per block; a block that does not lower the sample's
-    residual is undone and halves its ``alpha``.  Samples still open
-    after ``_MAX_FIXED_POINT`` sweeps get a batched Newton solve.
+    Starts from the linearized ``u = x q^T`` and works on the float view
+    ``[Re u, Im u]`` of each row.  Each open sample runs blocks of damped
+    sweeps ``u <- (1 - alpha) u + alpha F(u)`` with one residual test
+    per block; a block that does not lower the sample's residual is
+    undone and halves its ``alpha``.  The map value of each residual
+    test is the next block's first sweep, so every block costs
+    ``_SWEEPS_PER_CHECK`` map evaluations.  Samples still open after
+    ``_MAX_FIXED_POINT`` sweeps get a batched Newton solve.
     """
-    lx = x * gamma
-    k_t = k.T.copy()
+    d_rho, k_r = _real_form(k, rho)
+    lxv = np.ascontiguousarray(x * gamma).view(float)
     u = x @ q.T
-    res = _residual_norms(u, lx, k_t, rho)
-    open_ = np.flatnonzero(res > _tolerance(u))
+    v = u.view(float)
+    f = _real_map(v, lxv, d_rho, k_r)
+    res = _norms(v - f)
+    open_ = np.flatnonzero(res > _tolerance(v))
+    f = f[open_]
     alpha = np.ones((open_.size, 1))
     for _ in range(_MAX_FIXED_POINT // _SWEEPS_PER_CHECK):
         if open_.size == 0:
             break
-        uo, lo = u[open_], lx[open_]
-        for _ in range(_SWEEPS_PER_CHECK):
-            uo = (1.0 - alpha) * uo + alpha * _feedback_map(uo, lo, k_t, rho)
-        new_res = _residual_norms(uo, lo, k_t, rho)
+        vo, lo = v[open_], lxv[open_]
+        damped = np.any(alpha != 1.0)
+        for sweep in range(_SWEEPS_PER_CHECK):
+            step = f if sweep == 0 else _real_map(vo, lo, d_rho, k_r)
+            vo = (1.0 - alpha) * vo + alpha * step if damped else step
+        fn = _real_map(vo, lo, d_rho, k_r)
+        new_res = _norms(vo - fn)
         better = new_res < res[open_]
-        u[open_[better]] = uo[better]
+        stay = ~better | (new_res > _tolerance(vo))
+        v[open_[better]] = vo[better]
         res[open_[better]] = new_res[better]
+        f[better] = fn[better]
         alpha[~better] *= 0.5
-        stay = ~better | (new_res > _tolerance(uo))
-        open_, alpha = open_[stay], alpha[stay]
+        open_, alpha, f = open_[stay], alpha[stay], f[stay]
     converged = np.ones(x.shape[0], dtype=bool)
-    converged[_newton(u, lx, k, rho, open_)] = False
+    if open_.size:
+        converged[_newton(v, lxv, d_rho, k_r, rho, open_)] = False
     return u, converged
 
 

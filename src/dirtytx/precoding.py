@@ -66,7 +66,7 @@ def _check_channels(h, sigma_n2):
     """The channel checks of :class:`ChannelSpec`, on one channel or a stack of rows."""
     if not np.all(np.isfinite(h)):
         raise ValueError("channel entries must be finite")
-    if np.any(np.linalg.norm(h, axis=-1) == 0):
+    if np.any(np.all(h == 0, axis=-1)):
         raise ValueError("channel must not be identically zero")
     if not 0 < sigma_n2 < np.inf:
         raise ValueError("receiver noise variance must be positive and finite")

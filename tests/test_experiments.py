@@ -559,7 +559,7 @@ class TestRender:
 CONFIG_DIGESTS = {
     "backoff_vs_gain": "ee7575449ffdc465",
     "gaussian_validation": "27c595080d8511b2",
-    "nmse_sweep": "acda6b5738e66ad4",
+    "nmse_sweep": "bc56e06e4cb26fb2",
     "se_average": "f06c4765a84de012",
     "se_mrt_sweep": "c0674831de979bb4",
     "se_perturbation": "72fbf0bfe114d42d",

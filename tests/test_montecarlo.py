@@ -144,6 +144,50 @@ class TestSolveFeedback:
         assert self.relative_residual(x[converged], u[converged], hw).max() < 5e-10
 
 
+class TestRealFormMap:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("zero_k", [False, True], ids=["coupled", "zero-k"])
+    def test_matches_the_complex_map(self, m, zero_k):
+        # F(v) on the float view equals gamma x + K (u + rho u |u|^2),
+        # relative to the size of the two terms (their sum may cancel).
+        rng = np.random.default_rng(3400 + m)
+
+        def draw(*shape):
+            return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+        for _ in range(20):
+            gamma = rng.uniform(10.0, 40.0, m)
+            x, u = draw(64, m) / gamma, draw(64, m)
+            rho = -rng.uniform(0.02, 0.2, m)
+            k = np.zeros((m, m), dtype=complex) if zero_k else 0.1 * draw(m, m)
+            d_rho, k_r = montecarlo._real_form(k, rho)
+            got = montecarlo._real_map(u.view(float), (x * gamma).view(float), d_rho, k_r)
+            r = u + rho * u * np.abs(u) ** 2
+            gap = np.linalg.norm(got.view(complex) - (x * gamma + r @ k.T), axis=1)
+            size = np.linalg.norm(x * gamma, axis=1) + np.linalg.norm(np.abs(r) @ np.abs(k).T, axis=1)
+            assert np.all(gap <= 1e-15 * size)
+
+    def test_no_map_value_is_computed_twice(self, monkeypatch):
+        # The first map call covers the whole chunk; each block then makes
+        # three sweeps and one residual test on the same open rows, its
+        # first sweep being the previous residual test's value.
+        rows = []
+        real_map = montecarlo._real_map
+
+        def counted(v, *args):
+            rows.append(v.shape[0])
+            return real_map(v, *args)
+
+        monkeypatch.setattr(montecarlo, "_real_map", counted)
+        n = 10 ** 4
+        batch = simulate_batch(make_symmetric_hw(), reference_sig(0.0), n, 557)
+        assert batch.converged.all()
+        blocks = np.reshape(rows[1:], (-1, montecarlo._SWEEPS_PER_CHECK))
+        assert rows[0] == n and len(blocks) >= 2
+        assert np.all(blocks == blocks[:, :1])
+        assert sum(rows) == n + 4 * blocks[:, 0].sum()
+
+
 class TestSimulateBatch:
     def test_bitwise_reproducible(self):
         hw = make_symmetric_hw()

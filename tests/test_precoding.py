@@ -60,6 +60,21 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match=match):
             ChannelSpec(h=h, sigma_n2=1.0)
 
+    @pytest.mark.parametrize("h", [[1e-170, 0.0], [1e-170, 1e-170], [0.0, 1e-320],
+                                   [1e200, 1.0]])
+    def test_extreme_nonzero_channel_accepted_silently(self, h):
+        # Zero is judged by the entries, not by a norm that under- or overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ch = ChannelSpec(h=np.array(h, dtype=complex), sigma_n2=1.0)
+        assert_array_equal(ch.h, h)
+
+    def test_zero_row_of_a_stack_rejected(self):
+        rows = np.array([[1.0, 0.5j], [0.0, 0.0], [1e-170, 0.0]], dtype=complex)
+        with pytest.raises(ValueError, match="identically zero"):
+            precoding._check_channels(rows, 1.0)
+        precoding._check_channels(rows[[0, 2]], 1.0)
+
     @pytest.mark.parametrize("sigma_n2", [0.0, -1.0, np.inf, np.nan])
     def test_noise_variance_rejected(self, sigma_n2):
         # An infinite variance used to reach np.roots in optimal_precoder.
@@ -757,8 +772,6 @@ class TestDesignSePoints:
         def outcome(run):
             with warnings.catch_warnings(record=True) as seen:
                 warnings.simplefilter("always")
-                # The input check's overflow warnings come first in design_se.
-                warnings.simplefilter("ignore", RuntimeWarning)
                 with pytest.raises(NumericalError) as err:
                     run()
             return type(err.value), [(w.category, str(w.message)) for w in seen]
@@ -806,6 +819,30 @@ class TestExtremeChannels:
             ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
             with pytest.raises(NoFiniteOptimumError):
                 distortion_aware_mrt(ch, benchmark_hw(True))
+
+    @pytest.mark.parametrize("bad", [[1e-170, 0.0], [1e-170, 1e-170], [0.0, 1e-320],
+                                     [1e200, 1.0]])
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
+    def test_tiny_or_huge_channel_answers_or_raises_typed(self, bad, asymmetric):
+        # Channels the old norm test misjudged: every design either gives
+        # a finite SE or raises a NumericalError, and design_se raises at
+        # the row exactly when some design does.
+        hw = benchmark_hw(asymmetric)
+        ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
+        channels = np.vstack([random_channels(np.random.default_rng(4023), 3), [bad]])
+        raised = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for design in (optimal_precoder, conventional_mrt, distortion_aware_mrt):
+                try:
+                    assert np.isfinite(design(ch, hw).se)
+                except NumericalError:
+                    raised = True
+            if raised:
+                with pytest.raises(NumericalError):
+                    design_se(channels, 1.0, hw)
+            else:
+                assert np.isfinite(design_se(channels, 1.0, hw)).all()
 
     def test_design_se_raises_at_the_non_finite_row(self):
         # The optimal and conventional designs give 0 bit on this row;
