@@ -139,7 +139,7 @@ def _solve_chunk(x, gamma, k, rho, q):
     ``_MAX_FIXED_POINT`` sweeps get a batched Newton solve.
     """
     d_rho, k_r = _real_form(k, rho)
-    lxv = np.ascontiguousarray(x * gamma).view(float)
+    lxv = (x * gamma).view(float)
     u = x @ q.T
     v = u.view(float)
     f = _real_map(v, lxv, d_rho, k_r)
@@ -151,6 +151,9 @@ def _solve_chunk(x, gamma, k, rho, q):
         if open_.size == 0:
             break
         vo, lo = v[open_], lxv[open_]
+        # With every alpha at 1 the damped sweep is the plain one.  Every
+        # block of a perfbench mc-feedback pass takes this path; damping
+        # them all made the pass about 15 % slower on a 2-vCPU VM.
         damped = np.any(alpha != 1.0)
         for sweep in range(_SWEEPS_PER_CHECK):
             step = f if sweep == 0 else _real_map(vo, lo, d_rho, k_r)
@@ -165,8 +168,7 @@ def _solve_chunk(x, gamma, k, rho, q):
         alpha[~better] *= 0.5
         open_, alpha, f = open_[stay], alpha[stay], f[stay]
     converged = np.ones(x.shape[0], dtype=bool)
-    if open_.size:
-        converged[_newton(v, lxv, d_rho, k_r, rho, open_)] = False
+    converged[_newton(v, lxv, d_rho, k_r, rho, open_)] = False
     return u, converged
 
 

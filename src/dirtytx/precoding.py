@@ -277,8 +277,22 @@ def _ray_directions(q, h):
     per row, as in the other steps."""
     ref = _scalar_abs(h[:, 0])
     if not ref.all():
-        ref[ref == 0] = [np.linalg.norm(row) for row in h[ref == 0]]
+        h = h.copy()
+        for i in np.flatnonzero(ref == 0):
+            h[i], ref[i] = _with_norm(h[i])
     return np.matmul(q, h.conj()[:, :, None])[:, :, 0] / ref[:, None]
+
+
+def _with_norm(row):
+    """``(row, ||row||)`` of a nonzero finite row.  Where that norm under-
+    or overflows (``[0, 1e-320]``), the row is first divided by its
+    largest modulus, part by part: a complex division by a subnormal
+    number overflows."""
+    norm = np.linalg.norm(row)
+    if 0 < norm < np.inf:
+        return row, norm
+    row = (row.view(float) / np.abs(row).max()).view(complex)
+    return row, np.linalg.norm(row)
 
 
 def _conventional_rows(q, h, h_tilde, sigma2):
@@ -440,12 +454,16 @@ def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
 
     Returns ``(eta_grid, p_x, se)`` arrays over the family's search grid;
     useful for sweep plots where the family is compared against
-    fixed-power baselines.
+    fixed-power baselines.  A channel on which some entry is not finite
+    (a grid past the float range) raises ``NoFiniteOptimumError``.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
     etas, rows, scores = _distortion_aware_family(q, h, rho, h_tilde, sigma2)
     c_rows = np.linalg.solve(q, rows[0].T).T
-    return etas[0], np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores[0])
+    curve = etas[0], np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores[0])
+    if not all(np.isfinite(a).all() for a in curve):
+        raise NoFiniteOptimumError("the distortion-aware family is not finite on this channel")
+    return curve
 
 
 def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
@@ -459,13 +477,17 @@ def mrt_ray_curve(channel: ChannelSpec, hw: HardwareConfig, p_grid):
     can then exceed the feasible optimum of :func:`conventional_mrt`;
     this is the ``se-mrt-sweep`` check that perfbench's ``small-calls``
     workload fails at seeds 29, 30, 41, 60, 74 and 87 (of 1 to 100).
+    An SE value that is not finite raises ``NoFiniteOptimumError``.
     """
     q, h, _, h_tilde, sigma2 = _design_inputs(channel, hw)
     p_grid = np.asarray(p_grid, dtype=float)
     if np.any(p_grid < 0):
         raise ValueError("ray powers must be non-negative")
     rows = np.sqrt(p_grid)[:, None] * _ray_directions(q, h)
-    return np.log2(1.0 + _sndr(rows[None], h, h_tilde, sigma2))[0]
+    se = np.log2(1.0 + _sndr(rows[None], h, h_tilde, sigma2))[0]
+    if not np.isfinite(se).all():
+        raise NoFiniteOptimumError("the matched-filter ray SE is not finite on this channel")
+    return se
 
 
 def _design_rows(q, h, rho, sigma_w2, sigma_n2):

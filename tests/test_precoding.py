@@ -826,7 +826,8 @@ class TestExtremeChannels:
     def test_tiny_or_huge_channel_answers_or_raises_typed(self, bad, asymmetric):
         # Channels the old norm test misjudged: every design either gives
         # a finite SE or raises a NumericalError, and design_se raises at
-        # the row exactly when some design does.
+        # the row exactly when some design does.  The two curves give
+        # finite arrays or raise NoFiniteOptimumError.
         hw = benchmark_hw(asymmetric)
         ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
         channels = np.vstack([random_channels(np.random.default_rng(4023), 3), [bad]])
@@ -843,6 +844,28 @@ class TestExtremeChannels:
                     design_se(channels, 1.0, hw)
             else:
                 assert np.isfinite(design_se(channels, 1.0, hw)).all()
+            for curve in (distortion_aware_curve,
+                          lambda ch, hw: (mrt_ray_curve(ch, hw, np.geomspace(1e-5, 1e-1, 50)),)):
+                try:
+                    assert all(np.isfinite(a).all() for a in curve(ch, hw))
+                except NoFiniteOptimumError:
+                    pass
+
+    @pytest.mark.parametrize("t", [1e-320, 1e-310, 1e200])
+    def test_ray_without_h1_is_scale_free(self, t):
+        # With h1 = 0 the ray is normalized by ||h||, which under- or
+        # overflows here; the ray must be that of [0, 1] all the same,
+        # and on the subnormal channels its SE is finite.
+        hw = benchmark_hw(True)
+        q = coupling_matrix(hw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the plain norm's overflow
+            ray = precoding._ray_directions(q, np.array([[0.0, t]], dtype=complex))
+        assert_allclose(ray, precoding._ray_directions(q, np.array([[0.0, 1.0]], dtype=complex)),
+                        rtol=1e-15)
+        if t < 1:
+            ch = ChannelSpec(h=np.array([0.0, t], dtype=complex), sigma_n2=1.0)
+            assert np.isfinite(mrt_ray_curve(ch, hw, np.geomspace(1e-5, 1e-1, 50))).all()
 
     def test_design_se_raises_at_the_non_finite_row(self):
         # The optimal and conventional designs give 0 bit on this row;
