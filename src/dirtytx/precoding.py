@@ -14,6 +14,14 @@ Every design takes either hardware container, :class:`HardwareConfig`
 or ``mxm.HardwareConfigM``, and shares one input check.  The
 matched-filter designs and their curves run for any branch count; the
 exact candidate-set optimizer is specific to two branches.
+
+Rounding contract: a row's ``c_eff``, SNDR, SE and provenance do not
+depend on how many rows or candidates share its stack.  Every sum over
+the branch axis is a left-to-right sum of elementwise products (never a
+``matmul``), squared moduli are ``re*re + im*im`` and moduli
+``np.hypot``, so each entry goes through the same elementwise operations
+in any stack.  Each design step returns its own score of its pick, which
+is the SNDR the result reports.
 """
 
 import math
@@ -123,54 +131,38 @@ def _noise_terms(h, rho, sigma_w2, sigma_n2):
     branch ``l`` at receiver ``i``, and ``sigma2[i] = 2 sigma_w2
     ||h[i]||^2 + 2 sigma_n2`` is the combined noise floor of that form.
     """
-    norm2 = (h.conj()[:, None, :] @ h[:, :, None])[:, 0, 0].real  # np.vdot(h, h) per row
-    return 2.0 * h * rho, 2.0 * sigma_w2 * norm2 + 2.0 * sigma_n2
+    return 2.0 * h * rho, 2.0 * sigma_w2 * _branch_sum(_abs2(h)) + 2.0 * sigma_n2
 
 
-# The stacked steps below spell out products and moduli of lone complex
-# numbers, and squares of lone numbers, in the form numpy's scalar
-# arithmetic gives them: its array loops may fuse or multiply where its
-# scalar ``x ** 2`` calls the C library ``pow``.  So a one-row stack
-# keeps the bits the shipped configs' digests pin.
+def _abs2(z):
+    """Squared modulus ``re*re + im*im``, entry by entry."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _branch_sum(x):
+    """Sum over the last (branch) axis, added left to right."""
+    total = x[..., 0]
+    for l in range(1, x.shape[-1]):
+        total = total + x[..., l]
+    return total
+
 
 def _sndr(c_eff, h, h_tilde, sigma2):
-    """Scalar-form SNDR per channel row of ``h``.
-
-    ``(n, k, M)`` precoders, ``k`` per row, give ``(n, k)``; ``(n, M)``
-    precoders, one per row, give ``(n,)`` with the last steps rounded as
-    numpy's scalar arithmetic rounds them.
-    """
-    one = c_eff.ndim == 2
-    if one:
-        c_eff = c_eff[:, None, :]
-    cubic = np.abs(c_eff) ** 2 * c_eff
-    lin = np.matmul(c_eff, h[:, :, None])[..., 0]
-    dist = np.matmul(cubic, h_tilde[:, :, None])[..., 0]
-    if one:
-        lin, dist = lin[:, 0], dist[:, 0]
-        return 2.0 * _scalar_square(np.abs(lin + dist)) / (_scalar_square(np.abs(dist)) + sigma2)
-    return 2.0 * np.abs(lin + dist) ** 2 / (np.abs(dist) ** 2 + sigma2[:, None])
-
-
-def _scalar_mul(a, b):
-    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
-
-
-def _scalar_abs(z):
-    return np.hypot(z.real, z.imag)
-
-
-def _scalar_square(x):
-    # Python's float power raises on overflow where numpy's gives inf.
-    return np.array([v ** 2 if abs(v) < 1e154 else v * v for v in x.tolist()])
+    """Scalar-form SNDR of ``(n, k, M)`` precoders, ``k`` per channel row of ``h``: ``(n, k)``."""
+    lin = _branch_sum(c_eff * h[:, None, :])
+    dist = _branch_sum(_abs2(c_eff) * c_eff * h_tilde[:, None, :])
+    return 2.0 * _abs2(lin + dist) / (_abs2(dist) + sigma2[:, None])
 
 
 def sndr(c_eff, channel: ChannelSpec, hw: HardwareConfig) -> float:
-    """Scalar-form SNDR of an effective precoder ``c_eff = Q c``."""
+    """Scalar-form SNDR of an effective precoder ``c_eff = Q c``; a precoder or
+    channel whose length is not the hardware's branch count raises ``ValueError``."""
+    c_eff, rho = np.asarray(c_eff, dtype=complex), np.asarray(hw.rho, dtype=float)
+    if not c_eff.shape == channel.h.shape == rho.shape:
+        raise ValueError("precoder length must match the branch count")
     h = channel.h[None]
-    h_tilde, sigma2 = _noise_terms(h, np.asarray(hw.rho, dtype=float), hw.sigma_w2,
-                                   channel.sigma_n2)
-    return float(_sndr(np.asarray(c_eff, dtype=complex)[None], h, h_tilde, sigma2)[0])
+    h_tilde, sigma2 = _noise_terms(h, rho, hw.sigma_w2, channel.sigma_n2)
+    return float(_sndr(c_eff[None, None], h, h_tilde, sigma2)[0, 0])
 
 
 def achievable_se(sndr_value: float) -> float:
@@ -180,18 +172,17 @@ def achievable_se(sndr_value: float) -> float:
     return float(np.log2(1.0 + sndr_value))
 
 
-def _finalize(c_eff, q, h, h_tilde, sigma2, rho, provenance) -> PrecoderSolution:
-    """The solution of a design's picked ``c_eff`` on the one channel row of ``h``.
+def _finalize(c_eff, s, q, rho, provenance) -> PrecoderSolution:
+    """The solution of a design's picked ``c_eff``, scored ``s`` by its step.
 
     A picked precoder or SNDR that is not finite raises
     ``NoFiniteOptimumError``.
     """
-    c_eff = np.asarray(c_eff, dtype=complex)
-    s = float(_sndr(c_eff[None], h, h_tilde, sigma2)[0])
+    c_eff, s = np.asarray(c_eff, dtype=complex), float(s)
     if not (math.isfinite(s) and np.isfinite(c_eff).all()):
         raise NoFiniteOptimumError("the design has no finite precoder and SNDR on this channel")
     c = np.linalg.solve(q, c_eff)
-    gains = 1.0 + 2.0 * rho * np.abs(c_eff) ** 2
+    gains = 1.0 + 2.0 * rho * _abs2(c_eff)
     valid = bool(np.min(gains) >= -_GAIN_TOL)
     if not valid:
         warnings.warn(_SATURATION, BussgangGainWarning, stacklevel=3)
@@ -231,24 +222,22 @@ def _hw_inputs(hw, n_branches):
 def _optimal_rows(h, rho, h_tilde, sigma2):
     """:func:`optimal_precoder`'s candidates, scored and picked per channel row.
 
-    Returns the picked ``c_eff`` rows and candidate indices; a row
-    without a finite candidate gets NaN and index -1.
+    Returns the picked ``c_eff`` rows, their SNDR and candidate indices; a
+    row without a finite candidate gets NaN and index -1.
     """
     n = h.shape[0]
     r1, r2 = rho
-    g1, g2 = np.abs(h_tilde).T
-    w = _scalar_mul(np.conj(h[:, 0]), h[:, 1])
+    g1, g2 = np.hypot(h_tilde.real, h_tilde.imag).T
+    w = np.conj(h[:, 0]) * h[:, 1]
     chi = np.where(w != 0, np.exp(1j * np.angle(w)), 1.0)
     tau = np.sqrt(abs(r1) / abs(r2))
     sat1 = np.sqrt(1.0 / (2.0 * abs(r1)))
     sat2 = np.sqrt(1.0 / (2.0 * abs(r2)))
-    g_al = g1 + tau ** 3 * g2
-    g_op = g1 - tau ** 3 * g2
+    g = np.stack([g2, g1, g1 + tau ** 3 * g2, g1 - tau ** 3 * g2], axis=1)
     # The four stationary amplitudes solve 2 g^2 s^3 - 6 rho sigma2 s -
     # sigma2 = 0 in s = r^2, with one positive root each.
     cubics = np.zeros((n, 4, 4))
-    cubics[:, :, 0] = 2.0 * np.array(
-        [_scalar_square(g2), _scalar_square(g1), g_al * g_al, g_op * g_op]).T
+    cubics[:, :, 0] = 2.0 * (g * g)
     cubics[:, :, 2] = (-6.0 * np.array([r2, r1, r1, r1])) * sigma2[:, None]
     cubics[:, :, 3] = -sigma2[:, None]
     amps = np.sqrt(stacked_positive_roots(cubics.reshape(-1, 4))).reshape(n, 4)
@@ -264,10 +253,12 @@ def _optimal_rows(h, rho, h_tilde, sigma2):
     cand[:, 7, 0], cand[:, 7, 1] = amp_op * -chi, tau * amp_op
     s = _sndr(cand, h, h_tilde, sigma2)
     values = np.where(np.isfinite(s), -s, np.inf).tolist()
-    powers = np.linalg.norm(cand, axis=2).tolist()
+    powers = np.sqrt(_branch_sum(_abs2(cand))).tolist()
     pick = np.array([best_candidate(v, p)[0] if min(v) < np.inf else -1
                      for v, p in zip(values, powers)], dtype=int)
-    return np.where((pick >= 0)[:, None], cand[np.arange(n), pick], np.nan), pick
+    found, rows = pick >= 0, np.arange(n)
+    score = np.where(found, s[rows, pick], np.nan)
+    return np.where(found[:, None], cand[rows, pick], np.nan), score, pick
 
 
 def _ray_directions(q, h):
@@ -275,12 +266,12 @@ def _ray_directions(q, h):
     that the ray parameter is the branch-1 reference power whenever h1
     is nonzero (else by ``||h||``).  ``q`` is one coupling matrix or one
     per row, as in the other steps."""
-    ref = _scalar_abs(h[:, 0])
+    ref = np.hypot(h[:, 0].real, h[:, 0].imag)
     if not ref.all():
         h = h.copy()
         for i in np.flatnonzero(ref == 0):
             h[i], ref[i] = _with_norm(h[i])
-    return np.matmul(q, h.conj()[:, :, None])[:, :, 0] / ref[:, None]
+    return _branch_sum(q * h.conj()[:, None, :]) / ref[:, None]
 
 
 def _with_norm(row):
@@ -291,22 +282,22 @@ def _with_norm(row):
     norm = np.linalg.norm(row)
     if 0 < norm < np.inf:
         return row, norm
-    row = (row.view(float) / np.abs(row).max()).view(complex)
+    row = (row.view(float) / np.hypot(row.real, row.imag).max()).view(complex)
     return row, np.linalg.norm(row)
 
 
 def _conventional_rows(q, h, h_tilde, sigma2):
-    """:func:`conventional_mrt`'s best ray point and ray power per channel row.
+    """:func:`conventional_mrt`'s best ray point, its SNDR and its ray power per channel row.
 
     The ray SNDR is a rational function of the ray power whose interior
     stationary points are the positive roots of a quartic.  A row
     without one (a ray with no distortion has none) gets NaN.
     """
     c_hat = _ray_directions(q, h)
-    k0 = np.matmul(h[:, None, :], c_hat[:, :, None])[:, 0, 0]
-    k1 = np.matmul(h_tilde[:, None, :], (np.abs(c_hat) ** 2 * c_hat)[:, :, None])[:, 0, 0]
+    k0 = _branch_sum(h * c_hat)
+    k1 = _branch_sum(h_tilde * (_abs2(c_hat) * c_hat))
     wre = k0.real * k1.real + k0.imag * k1.imag  # Re(k0 conj(k1))
-    a0, a1 = _scalar_square(_scalar_abs(k0)), _scalar_square(_scalar_abs(k1))
+    a0, a1 = _abs2(k0), _abs2(k1)
     quartics = np.array([
         2.0 * a1 * wre,
         2.0 * a1 * a0,
@@ -320,9 +311,10 @@ def _conventional_rows(q, h, h_tilde, sigma2):
     positive = roots > 0
     rows = np.sqrt(np.where(positive, roots, np.nan))[:, :, None] * c_hat[:, None, :]
     s = np.where(positive, _sndr(rows, h, h_tilde, sigma2), -np.inf)
-    power = roots[np.arange(h.shape[0]), np.argmax(s, axis=1)]
-    power[~positive.any(axis=1)] = np.nan
-    return np.sqrt(power)[:, None] * c_hat, power
+    pick = np.arange(h.shape[0]), np.argmax(s, axis=1)
+    power, score, none = roots[pick], s[pick], ~positive.any(axis=1)
+    power[none] = score[none] = np.nan
+    return np.sqrt(power)[:, None] * c_hat, score, power
 
 
 def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
@@ -340,12 +332,13 @@ def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
     Returns ``(etas, rows, sndr)`` of shapes ``(n, 200)``, ``(n, 200,
     M)`` and ``(n, 200)``.
     """
-    ref = _scalar_abs(np.linalg.solve(q, h.conj()[:, :, None])[:, 0, 0])
+    ref = np.linalg.solve(q, h.conj()[:, :, None])[:, 0, 0]
+    ref = np.hypot(ref.real, ref.imag)
     ref = np.where(ref == 0, 1.0, ref)
-    eta_lo = 1e-7 / _scalar_square(ref)
+    eta_lo = 1e-7 / (ref * ref)
     gain_floor = 0.02
     qmax = 2.0 / gain_floor - 1.0
-    habs = np.abs(h)
+    habs = np.hypot(h.real, h.imag)
     live = habs ** 2 > 0
     habs = np.where(live, habs, 1.0)
     eta_hi = np.max(np.where(live, (qmax ** 2 - 1.0) / (8.0 * np.abs(rho) * habs ** 2), 0.0),
@@ -361,10 +354,12 @@ def _distortion_aware_family(q, h, rho, h_tilde, sigma2):
 
 
 def _distortion_aware_rows(q, h, rho, h_tilde, sigma2):
-    """:func:`distortion_aware_mrt`'s grid pick and its ``eta`` per channel row."""
+    """:func:`distortion_aware_mrt`'s grid pick, its SNDR (NaN where its
+    ``eta`` is not finite) and its ``eta`` per channel row."""
     etas, rows, scores = _distortion_aware_family(q, h, rho, h_tilde, sigma2)
     pick = np.arange(h.shape[0]), np.argmax(scores, axis=1)
-    return rows[pick], etas[pick]
+    eta = etas[pick]
+    return rows[pick], np.where(np.isfinite(eta), scores[pick], np.nan), eta
 
 
 def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
@@ -397,8 +392,8 @@ def optimal_precoder(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
     if rho.size != 2:
         raise ValueError("the optimal precoder needs exactly two branches")
-    c_eff, pick = _optimal_rows(h, rho, h_tilde, sigma2)
-    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, _CANDIDATES[pick[0]])
+    c_eff, s, pick = _optimal_rows(h, rho, h_tilde, sigma2)
+    return _finalize(c_eff[0], s[0], q, rho, _CANDIDATES[pick[0]])
 
 
 def perturbation_se(
@@ -428,12 +423,12 @@ def conventional_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSoluti
     rather than silently clipped.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
-    c_eff, power = _conventional_rows(q, h, h_tilde, sigma2)
+    c_eff, s, power = _conventional_rows(q, h, h_tilde, sigma2)
     if np.isnan(power[0]):
         raise BoundaryEvaluationError(
             "matched-filter ray SNDR has no interior stationary point"
         )
-    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, "conv_mrt[p=%.6g]" % power[0])
+    return _finalize(c_eff[0], s[0], q, rho, "conv_mrt[p=%.6g]" % power[0])
 
 
 def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSolution:
@@ -442,11 +437,12 @@ def distortion_aware_mrt(channel: ChannelSpec, hw: HardwareConfig) -> PrecoderSo
     For each grid value of the search parameter the per-branch fixed
     points give an effective precoder whose useful part stays matched
     to the channel under the actual (compressed) Bussgang gains; the
-    grid argmax of SE is returned.
+    grid argmax of SE is returned.  A picked ``eta``, precoder or SNDR
+    that is not finite raises ``NoFiniteOptimumError``.
     """
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
-    c_eff, eta = _distortion_aware_rows(q, h, rho, h_tilde, sigma2)
-    return _finalize(c_eff[0], q, h, h_tilde, sigma2, rho, "da_mrt[eta=%.6g]" % eta[0])
+    c_eff, s, eta = _distortion_aware_rows(q, h, rho, h_tilde, sigma2)
+    return _finalize(c_eff[0], s[0], q, rho, "da_mrt[eta=%.6g]" % eta[0])
 
 
 def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
@@ -460,7 +456,7 @@ def distortion_aware_curve(channel: ChannelSpec, hw: HardwareConfig):
     q, h, rho, h_tilde, sigma2 = _design_inputs(channel, hw)
     etas, rows, scores = _distortion_aware_family(q, h, rho, h_tilde, sigma2)
     c_rows = np.linalg.solve(q, rows[0].T).T
-    curve = etas[0], np.abs(c_rows[:, 0]) ** 2, np.log2(1.0 + scores[0])
+    curve = etas[0], _abs2(c_rows[:, 0]), np.log2(1.0 + scores[0])
     if not all(np.isfinite(a).all() for a in curve):
         raise NoFiniteOptimumError("the distortion-aware family is not finite on this channel")
     return curve
@@ -497,13 +493,12 @@ def _design_rows(q, h, rho, sigma_w2, sigma_n2):
     a finite precoder and SE from every design.
     """
     h_tilde, sigma2 = _noise_terms(h, rho, sigma_w2, sigma_n2)
-    c_eff = np.stack([
-        _optimal_rows(h, rho, h_tilde, sigma2)[0],
-        _distortion_aware_rows(q, h, rho, h_tilde, sigma2)[0],
-        _conventional_rows(q, h, h_tilde, sigma2)[0],
-    ])
-    se = np.log2(1.0 + np.stack([_sndr(c, h, h_tilde, sigma2) for c in c_eff], 1))
-    valid = np.min(1.0 + 2.0 * rho * np.abs(c_eff) ** 2, axis=2) >= -_GAIN_TOL
+    c_eff, s, _ = zip(_optimal_rows(h, rho, h_tilde, sigma2),
+                      _distortion_aware_rows(q, h, rho, h_tilde, sigma2),
+                      _conventional_rows(q, h, h_tilde, sigma2))
+    c_eff = np.stack(c_eff)
+    se = np.log2(1.0 + np.stack(s, 1))
+    valid = np.min(1.0 + 2.0 * rho * _abs2(c_eff), axis=2) >= -_GAIN_TOL
     return se, valid.T, np.all(np.isfinite(c_eff), axis=(0, 2)) & np.isfinite(se).all(axis=1)
 
 

@@ -560,10 +560,10 @@ CONFIG_DIGESTS = {
     "backoff_vs_gain": "ee7575449ffdc465",
     "gaussian_validation": "27c595080d8511b2",
     "nmse_sweep": "bc56e06e4cb26fb2",
-    "se_average": "f06c4765a84de012",
-    "se_mrt_sweep": "c0674831de979bb4",
-    "se_perturbation": "72fbf0bfe114d42d",
-    "se_vs_crosstalk": "fb235a799677b50f",
+    "se_average": "709dc09f4fd18aaa",
+    "se_mrt_sweep": "c59ee4fa55b71dc2",
+    "se_perturbation": "060d64dba53c6bb4",
+    "se_vs_crosstalk": "16916b11c770205e",
 }
 
 

@@ -134,6 +134,27 @@ class TestSndr:
             ref = sndr_direct(c_eff, h, hw.rho, hw.sigma_w2, ch.sigma_n2)
             assert_allclose(sndr(c_eff, ch, hw), ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("c_eff", [[0.5], [0.5, 0.1j, 0.2], 0.5],
+                             ids=["one", "three", "scalar"])
+    def test_precoder_length_must_match(self, c_eff):
+        # A short or long precoder must not broadcast against the channel.
+        hw = reference_hw()
+        ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
+        with pytest.raises(ValueError, match="precoder length must match the branch count"):
+            sndr(c_eff, ch, hw)
+        sol = dataclasses.replace(optimal_precoder(ch, hw), c_eff=np.atleast_1d(c_eff) + 0j)
+        with pytest.raises(ValueError, match="precoder length must match the branch count"):
+            perturbation_se(sol, ch, hw)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_hardware_branch_count_must_match(self, m):
+        # One-branch rho used to broadcast over a two-branch channel.
+        hw = HardwareConfigM(gamma=np.full(m, np.sqrt(1000.0)), kappa=np.zeros((m, m)),
+                             rho=np.full(m, -0.025), sigma_w2=1e-4)
+        ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
+        with pytest.raises(ValueError, match="precoder length must match the branch count"):
+            sndr(np.array([0.1, 0.2j]), ch, hw)
+
     def test_common_phase_invariance(self):
         rng = np.random.default_rng(1207)
         hw = reference_hw()
@@ -182,12 +203,12 @@ class TestOptimalPrecoder:
         # with b1_stationary when branch 2 is silent.  The scored (8, 2)
         # stack must equal the rebuilt rows, which pins the candidates
         # that never win (the opposed sheet and the saturation points).
+        # The design scores once: the (8, 2) stack is its only _sndr call.
         score = precoding._sndr
         stacks = []
 
         def recording(c_eff, *args):
-            if c_eff.ndim == 3:
-                stacks.append(c_eff)
+            stacks.append(c_eff)
             return score(c_eff, *args)
 
         monkeypatch.setattr(precoding, "_sndr", recording)
@@ -402,8 +423,8 @@ class TestConventionalMrt:
         ch = ChannelSpec(h=np.array([0.9 - 0.2j, 0.5 + 0.7j]), sigma_n2=1.0)
         q, h, _, h_tilde, sigma2 = precoding._design_inputs(ch, reference_hw())
         h, sigma2 = np.repeat(h, rows, axis=0), np.repeat(sigma2, rows)
-        c_eff, power = precoding._conventional_rows(q, h, 0.0 * h, sigma2)
-        assert np.isnan(power).all() and np.isnan(c_eff).all()
+        c_eff, s, power = precoding._conventional_rows(q, h, 0.0 * h, sigma2)
+        assert np.isnan(power).all() and np.isnan(c_eff).all() and np.isnan(s).all()
 
 
 def family(ch, hw):
@@ -573,12 +594,12 @@ class TestAnyBranchCount:
 def test_saturated_solution_is_flagged():
     # The flag is probed on the shared finishing step directly; a design
     # that returns such a point is in TestDesignSe.
-    ch = ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
-    q, h, rho, h_tilde, sigma2 = precoding._design_inputs(ch, reference_hw())
+    hw, ch = reference_hw(), ChannelSpec(h=np.array([1.0, 0.4 + 0.4j]), sigma_n2=1.0)
+    q, _, rho, _, _ = precoding._design_inputs(ch, hw)
     sat = np.sqrt(1.0 / (2.0 * 0.025))
     c_eff = np.array([1.5 * sat, 0.5 * sat], dtype=complex)
     with pytest.warns(BussgangGainWarning, match="past saturation"):
-        sol = precoding._finalize(c_eff, q, h, h_tilde, sigma2, rho, "probe")
+        sol = precoding._finalize(c_eff, sndr(c_eff, ch, hw), q, rho, "probe")
     assert sol.valid is False
     assert sol.bussgang_gains[0] < 0 < sol.bussgang_gains[1]
 
@@ -794,6 +815,47 @@ class TestDesignSePoints:
             assert design_se(channels, 1.0, points).shape == (0, 4, 3)
 
 
+class TestRoundingContract:
+    """A row's result does not depend on how many rows or candidates share its stack."""
+
+    def test_sndr_entry_is_the_same_in_any_stack(self):
+        rng = np.random.default_rng(4041)
+        hw = benchmark_hw(True)
+        rho = np.asarray(hw.rho)
+        h = random_channels(rng, 300) * 10.0 ** rng.uniform(-1.0, 1.0, (300, 1))
+        c_eff = 3.0 * (rng.standard_normal((300, 8, 2)) + 1j * rng.standard_normal((300, 8, 2)))
+        stacked = precoding._sndr(c_eff, h, *precoding._noise_terms(h, rho, hw.sigma_w2, 1.0))
+        for i in range(0, 300, 7):
+            terms = precoding._noise_terms(h[i:i + 1], rho, hw.sigma_w2, 1.0)
+            for k in range(8):
+                assert precoding._sndr(c_eff[i:i + 1, k:k + 1], h[i:i + 1], *terms) == stacked[i, k]
+
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["symmetric", "asymmetric"])
+    def test_design_se_row_is_the_same_in_any_stack(self, asymmetric):
+        # 300 rows take two passes of design_se; each row must come out
+        # the same alone and in stacks of 2 and 15.
+        hw = benchmark_hw(asymmetric)
+        rng = np.random.default_rng(4043)
+        channels = random_channels(rng, 300) * 10.0 ** rng.uniform(-1.0, 1.0, (300, 1))
+        sigma_n2 = 10.0 ** rng.uniform(-1.0, 1.0)
+        full = design_se(channels, sigma_n2, hw)
+        for n in (1, 2, 15):
+            for start in range(0, 300, n):
+                rows = slice(start, start + n)
+                assert_array_equal(design_se(channels[rows], sigma_n2, hw), full[rows])
+
+    def test_ray_point_is_the_same_on_any_grid(self):
+        rng = np.random.default_rng(4047)
+        for hw in (benchmark_hw(False), benchmark_hw(True)):
+            for h in random_channels(rng, 5):
+                ch = ChannelSpec(h=h, sigma_n2=10.0 ** rng.uniform(-1.0, 1.0))
+                grid = 10.0 ** rng.uniform(-5.0, -1.0, 200)
+                curve = mrt_ray_curve(ch, hw, grid)
+                for k in range(200):
+                    assert mrt_ray_curve(ch, hw, grid[k:k + 1])[0] == curve[k]
+                    assert mrt_ray_curve(ch, hw, grid[k:k + 7])[0] == curve[k]
+
+
 class TestExtremeChannels:
     """Entries that pass ``ChannelSpec`` but square past the float range."""
 
@@ -827,19 +889,21 @@ class TestExtremeChannels:
         # Channels the old norm test misjudged: every design either gives
         # a finite SE or raises a NumericalError, and design_se raises at
         # the row exactly when some design does.  The two curves give
-        # finite arrays or raise NoFiniteOptimumError.
+        # finite arrays or raise NoFiniteOptimumError, and the
+        # distortion-aware design answers exactly when its curve does.
         hw = benchmark_hw(asymmetric)
         ch = ChannelSpec(h=np.array(bad, dtype=complex), sigma_n2=1.0)
         channels = np.vstack([random_channels(np.random.default_rng(4023), 3), [bad]])
-        raised = False
+        answered = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             for design in (optimal_precoder, conventional_mrt, distortion_aware_mrt):
                 try:
                     assert np.isfinite(design(ch, hw).se)
+                    answered[design] = True
                 except NumericalError:
-                    raised = True
-            if raised:
+                    answered[design] = False
+            if not all(answered.values()):
                 with pytest.raises(NumericalError):
                     design_se(channels, 1.0, hw)
             else:
@@ -848,8 +912,10 @@ class TestExtremeChannels:
                           lambda ch, hw: (mrt_ray_curve(ch, hw, np.geomspace(1e-5, 1e-1, 50)),)):
                 try:
                     assert all(np.isfinite(a).all() for a in curve(ch, hw))
+                    answered[curve] = True
                 except NoFiniteOptimumError:
-                    pass
+                    answered[curve] = False
+        assert answered[distortion_aware_mrt] == answered[distortion_aware_curve]
 
     @pytest.mark.parametrize("t", [1e-320, 1e-310, 1e200])
     def test_ray_without_h1_is_scale_free(self, t):
