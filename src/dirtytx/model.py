@@ -156,13 +156,9 @@ def coupling_matrix(hw) -> np.ndarray:
     Closing the crosstalk loop to first order in the (small) crosstalk
     scalings gives a constant map whose off-diagonal entries carry the
     leakage of the other streams.  ``hw`` is a :class:`HardwareConfig`
-    or an ``mxm.HardwareConfigM`` of any branch count.  The matrix is
-    derived once per (frozen) container and returned read-only on
-    later calls; a singular one raises on every call.
+    or an ``mxm.HardwareConfigM`` of any branch count.  A numerically
+    singular matrix raises :class:`SingularCouplingError`.
     """
-    q = vars(hw).get("_coupling")
-    if q is not None:
-        return q
     gains = np.asarray(hw.gamma, dtype=float)
     q = (np.eye(gains.size) + hw.feedback_matrix) * gains
     # With unit columns |det| lies in [0, 1] for any branch count (Hadamard),
@@ -170,9 +166,6 @@ def coupling_matrix(hw) -> np.ndarray:
     # diagonal entry is a positive gain.
     if abs(np.linalg.det(q / np.linalg.norm(q, axis=0))) < 1e-12:
         raise SingularCouplingError("coupling matrix is numerically singular")
-    q.flags.writeable = False
-    # Kept beside the dataclass fields, so equality and repr ignore it.
-    object.__setattr__(hw, "_coupling", q)
     return q
 
 

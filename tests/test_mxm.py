@@ -159,7 +159,8 @@ class TestCouplingMatrixM:
         np.fill_diagonal(kappa, 0.0)
         hw = HardwareConfigM(gamma=gamma, kappa=kappa, rho=rho, sigma_w2=1e-4)
         q = coupling_matrix(hw)
-        assert coupling_matrix(hw) is q and build_q_m(hw) is q
+        assert np.array_equal(build_q_m(hw), q)
+        assert set(vars(hw)) == {"gamma", "kappa", "rho", "sigma_w2"}
         for name in ("gamma", "kappa", "rho"):
             with pytest.raises(ValueError):
                 getattr(hw, name)[1] = 0.0

@@ -193,7 +193,48 @@ class TestStackedPositiveRoots:
         sigma2 = 10.0 ** rng.uniform(-6, 1, 500)
         stack = np.stack([2.0 * g2, 0.0 * g2, -6.0 * rho * sigma2, -sigma2], axis=1)
         want = [unique_positive_root(row) for row in stack]
-        assert_allclose(stacked_positive_roots(stack), want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(stacked_positive_roots(stack), want)
+
+    def test_amplitude_family_is_bit_identical_over_many_decades(self):
+        rng = np.random.default_rng(3313)
+        n = 20000
+        a = 10.0 ** rng.uniform(-150, 150, n)
+        c = np.where(rng.random(n) < 0.1, 0.0, 10.0 ** rng.uniform(-150, 150, n))
+        d = -(10.0 ** rng.uniform(-150, 150, n))
+        stack = np.stack([a, rng.choice([0.0, -0.0], n), c, d], axis=1)
+        # An underflowed d / a goes row by row; so do the edge rows here.
+        stack = np.vstack([stack, [[1e308, -0.0, 1e300, -1e-30], [1e300, 0.0, -0.0, -1.0],
+                                   [1e-300, 0.0, 1e-320, -1e-300]]])
+        with np.errstate(all="ignore"):
+            stack = stack[np.isfinite(np.abs(stack).sum(axis=1) / stack[:, 0])]
+        want = [unique_positive_root(row) for row in stack]
+        assert np.array_equal(stacked_positive_roots(stack), want)
+
+    def test_only_the_amplitude_family_is_stacked(self, monkeypatch):
+        rng = np.random.default_rng(359)
+        g2 = 10.0 ** rng.uniform(-6, 4, 6)
+        rho = -(10.0 ** rng.uniform(-3, 0, 6))
+        sigma2 = 10.0 ** rng.uniform(-6, 1, 6)
+        family = np.stack([2.0 * g2, 0.0 * g2, -6.0 * rho * sigma2, -sigma2], axis=1)
+        others = np.array([
+            [-2.0, 0.0, -0.15, 0.3],        # negative leading coefficient
+            [1.0, 0.0, -3.0, -1.0],         # trigonometric start: three real roots
+            np.poly([1.5, -1.0, -2.0]),     # trigonometric start with a shift
+        ])
+        stack = np.vstack([family[:3], others, family[3:]])
+        want = [unique_positive_root(row) for row in stack]
+        seen = spy(monkeypatch, "unique_positive_root")
+        got = stacked_positive_roots(stack)
+        assert np.array_equal(np.array(seen), others)
+        assert np.array_equal(got, want)
+
+    def test_precoder_cubics_never_leave_the_stacked_path(self, monkeypatch):
+        rng = np.random.default_rng(367)
+        hw = random_hardware(rng)
+        channels = random_channels(rng, 12)
+        seen = spy(monkeypatch, "unique_positive_root")
+        precoding.design_se(channels, 1.0, hw)
+        assert not seen
 
     def test_one_sign_change_cubics_match_row_by_row(self):
         # Any one-sign-change cubic, either sign of the leading
