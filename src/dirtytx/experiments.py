@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 _CASE_IDS = {"branch1_min": 1.0, "branch2_min": 2.0, "balanced": 3.0}
+# Most points a range axis or phase_count may ask for, checked before allocating.
+_MAX_GRID = 10 ** 6
 
 
 @dataclass
@@ -206,6 +208,13 @@ def _count(value, where):
     return value
 
 
+def _grid_count(value, where):
+    count = _count(value, where)
+    if count > _MAX_GRID:
+        raise ConfigError("%s must be at most %d" % (where, _MAX_GRID))
+    return count
+
+
 def _grid(section, path, convert, default=_REQUIRED):
     """A sweep axis: an explicit list or a {start, stop, count} range.
 
@@ -220,7 +229,7 @@ def _grid(section, path, convert, default=_REQUIRED):
     _object(obj, ("start", "stop", "count"), path)
     start = _get(obj, path + ".start", read=_scalar)
     stop = _get(obj, path + ".stop", read=_scalar)
-    count = _get(obj, path + ".count", read=_count)
+    count = _get(obj, path + ".count", read=_grid_count)
     return np.array([convert(v, path) for v in np.linspace(start, stop, count)])
 
 
@@ -411,7 +420,7 @@ def _optimum_meta(prefix, sol):
 def _run_se_perturbation(cfg, units, seed):
     hw = _build_hw(_parse_hardware(cfg, units, compressive=True))
     channel = _parse_channel(cfg, units)
-    phase_count = _get(cfg, "phase_count", 36, _count)
+    phase_count = _get(cfg, "phase_count", 36, _grid_count)
     scales = _grid(cfg, "amp_scales", _scalar, {"start": 0.25, "stop": 3.0, "count": 12})
     sol = optimal_precoder(channel, hw)
     rows = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, NumericalError
 from .model import BussgangModel, HardwareConfig, SignalSpec, coupling_matrix
 
 __all__ = [
@@ -144,7 +144,7 @@ def _solve_chunk(x, gamma, k, rho, q):
     v = u.view(float)
     f = _real_map(v, lxv, d_rho, k_r)
     res = _norms(v - f)
-    open_ = np.flatnonzero(res > _tolerance(v))
+    open_ = np.flatnonzero(~(res <= _tolerance(v)))
     f = f[open_]
     alpha = np.ones((open_.size, 1))
     for _ in range(_MAX_FIXED_POINT // _SWEEPS_PER_CHECK):
@@ -200,14 +200,19 @@ def simulate_batch(hw: HardwareConfig, sig: SignalSpec, n: int, seed) -> SampleB
     ``u = gamma x + k r(u)`` (``k`` the feedback matrix, ``r`` the
     amplifier output) chunk by chunk from the linearized start ``Q x``
     and adds thermal noise of variance ``hw.sigma_w2``.  Aborts with
-    :class:`ConvergenceError` when more than 0.1 percent of the samples
-    fail to converge, reporting the failure count.
+    :class:`ConvergenceError`, giving the failure count, when more than
+    0.1 percent of the samples fail to converge (a non-finite residual
+    never does), and with :class:`NumericalError` on a non-finite input
+    covariance.
     """
     gamma = np.asarray(hw.gamma, dtype=float)
     rho = np.asarray(hw.rho, dtype=float)
     k, q = hw.feedback_matrix, coupling_matrix(hw)
+    cov = sig.covariance()
+    if not np.isfinite(cov).all():
+        raise NumericalError("input covariance is not finite")
     rng = np.random.default_rng(seed)
-    x = _draw_inputs(sig.covariance(), n, rng)
+    x = _draw_inputs(cov, n, rng)
     m = x.shape[1]
 
     u = np.empty_like(x)
@@ -322,11 +327,14 @@ def empirical_cdf_distance(batch: SampleBatch, model: BussgangModel) -> np.ndarr
     Compares the real and imaginary parts of each branch against the
     zero-mean Gaussian with the variance the linearized covariance
     predicts.  Returns an (n_branches, 2) array, columns ordered
-    (real, imag).
+    (real, imag).  Non-finite samples or target variances raise
+    :class:`NumericalError`.
     """
     mask = _converged_only(batch)
     u = batch.u[mask]
     target_var = np.real(np.diag(model.u_cov)) / 2.0
+    if not (np.isfinite(u).all() and np.isfinite(target_var).all()):
+        raise NumericalError("samples and target variances must be finite")
     n = u.shape[0]
     rank = np.arange(n)
     out = np.empty((u.shape[1], 2))

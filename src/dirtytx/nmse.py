@@ -220,7 +220,8 @@ def _minmax(cubic, quadratic, linear, denom, sw2):
 
     Returns ``(powers, worst, pick, tied)``: the branch minimizers, then
     the kept crossing if any; the worst NMSE at each; the index of the
-    optimum; and ``best_candidate``'s ``tied``.
+    optimum; and ``best_candidate``'s ``tied``.  No finite worst NMSE
+    raises :class:`NoFiniteOptimumError`.
     """
 
     def branches(p):
@@ -253,6 +254,8 @@ def _minmax(cubic, quadratic, linear, denom, sw2):
             powers.append(cross_at[best_candidate(cross_worst, cross_at)[0]])
             values.append(branches(powers[-1]))
     worst = [v.max() for v in values]
+    if not np.isfinite(min(worst)):
+        raise NoFiniteOptimumError("no back-off candidate has a finite worst NMSE")
     return powers, worst, *best_candidate(worst, powers)
 
 

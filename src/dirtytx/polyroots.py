@@ -5,10 +5,11 @@ of degree six or less.  A cubic with one coefficient sign change (the
 amplitude and back-off stationarity cubics) has one positive root,
 taken in closed form and polished inside a sign bracket.  Other roots
 are companion-matrix eigenvalues polished by a few Newton steps.
-:func:`stacked_real_roots` and :func:`stacked_positive_roots` apply the
-same two routes to every row of a coefficient stack at once, with the
-same operations, for the precoder designs; a stack of one channel's
-polynomials is solved row by row, which is cheaper at that size.
+:func:`stacked_real_roots` runs the companion route on every row of a
+stack at once, and :func:`stacked_positive_roots` the closed form on the
+precoder's amplitude cubics ``a x^3 + c x + d`` (``a > 0``, ``c >= 0 >
+d``), with the single-row operations; other rows, and a stack of one
+channel's polynomials, are solved row by row.
 :func:`best_candidate` picks among the optimizers' scored candidates.
 """
 

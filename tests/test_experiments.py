@@ -194,6 +194,31 @@ class TestSweepGrids:
                 )
             )
 
+    @pytest.mark.parametrize("count", [10 ** 6 + 1, 2 ** 70])
+    def test_range_count_above_the_limit_is_rejected_before_allocation(self, count,
+                                                                       monkeypatch):
+        linspace = np.linspace
+
+        def small_only(start, stop, num, **kwargs):
+            assert num <= 10 ** 3, "a large grid reached np.linspace"
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", small_only)
+        gain = {"start": 1, "stop": 2, "count": count}
+        cfg = {
+            "experiment": "backoff-vs-gain",
+            "hardware": HW_BLOCK,
+            "units": dict(UNITS, **{"sweep.gain2": "dB", "sweep.crosstalk2": "dB"}),
+            "signal": {"beta": 1.0, "xi": 0.0},
+            "sweep": {"gain2": gain, "crosstalk2": [-50.0]},
+        }
+        with pytest.raises(ConfigError, match="sweep.gain2.count must be at most 1000000"):
+            run_experiment(cfg)
+        perturbation = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                                   / "se_perturbation.json").read_text(encoding="utf-8"))
+        with pytest.raises(ConfigError, match="phase_count must be at most"):
+            run_experiment(dict(perturbation, phase_count=count))
+
     def test_empty_sweep_yields_empty_table(self):
         cfg = {
             "experiment": "backoff-vs-gain",

@@ -10,6 +10,7 @@ import pytest
 from dirtytx import (
     ConvergenceError,
     HardwareConfig,
+    NumericalError,
     ModelValidityWarning,
     SignalSpec,
     build_model,
@@ -281,6 +282,27 @@ class TestSimulateBatch:
             else:
                 simulate_batch(hw, sig, 64, 559)
 
+    def test_non_finite_covariance_raises(self):
+        # beta = 1e308 overflows the covariance's (2, 2) entry to inf+nanj.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sig = SignalSpec(p_x=1e-3, beta=1e308)
+            with pytest.raises(NumericalError, match="covariance is not finite"):
+                simulate_batch(make_symmetric_hw(), sig, 64, 5)
+
+    def test_non_finite_row_never_converges(self):
+        # A NaN residual fails every tolerance test, so the row stays open
+        # through the sweeps and Newton, and is reported as failed.
+        hw = make_symmetric_hw()
+        x = sample_inputs(reference_sig(0.0), 256, 7)
+        clean, ok = solve_feedback(x, hw)
+        x[5] = np.nan
+        u, converged = solve_feedback(x, hw)
+        assert ok.all() and not converged[5]
+        assert np.delete(converged, 5).all()
+        rows = np.arange(256) != 5
+        assert np.allclose(u[rows], clean[rows], rtol=1e-12, atol=0.0)
+
     def test_noise_power_calibration(self):
         hw = make_symmetric_hw()
         batch = simulate_batch(hw, reference_sig(-6.0), 10 ** 5, 558)
@@ -463,6 +485,19 @@ class TestEmpiricalCdfDistance:
         u[:100, 1] = 1.0 + 1.0j
         dist = empirical_cdf_distance(dataclasses.replace(batch, u=u), model)
         assert np.array_equal(dist[1], [200 / 2000, 300 / 2000])
+
+    def test_non_finite_input_raises(self):
+        hw, sig = make_symmetric_hw(), reference_sig(-10.0)
+        model = build_model(hw, sig)
+        batch = simulate_batch(hw, sig, 200, 11)
+        u = batch.u.copy()
+        u[3, 0] = np.nan
+        with pytest.raises(NumericalError, match="must be finite"):
+            empirical_cdf_distance(dataclasses.replace(batch, u=u), model)
+        u_cov = model.u_cov.copy()
+        u_cov[1, 1] = np.inf
+        with pytest.raises(NumericalError, match="must be finite"):
+            empirical_cdf_distance(batch, dataclasses.replace(model, u_cov=u_cov))
 
     def test_reference_setup_marginals_stay_near_gaussian(self):
         # Absolute bounds only.  The relative ordering between the two

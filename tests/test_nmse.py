@@ -354,6 +354,14 @@ class TestMinmaxBackoff:
         with pytest.raises(NoFiniteOptimumError):
             minmax_backoff(hw, symmetric_sig)
 
+    def test_no_finite_candidate_raises_typed(self, symmetric_hw):
+        # A subnormal amplitude ratio makes branch 2's NMSE denominator
+        # underflow to 0, so every candidate's worst NMSE is infinite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NoFiniteOptimumError, match="finite worst NMSE"):
+                minmax_backoff(symmetric_hw, SignalSpec(p_x=1e-3, beta=1e-320))
+
 
 class TestConvexity:
     def test_discrete_second_differences(self):
