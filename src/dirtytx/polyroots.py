@@ -8,7 +8,7 @@ are companion-matrix eigenvalues polished by a few Newton steps.
 :func:`stacked_real_roots` runs the companion route on every row of a
 stack at once, and :func:`stacked_positive_roots` the closed form on the
 precoder's amplitude cubics ``a x^3 + c x + d`` (``a > 0``, ``c >= 0 >
-d``), with the single-row operations; other rows, and a stack of one
+d / a``), with the single-row operations; other rows, and a stack of one
 channel's polynomials, are solved row by row.
 :func:`best_candidate` picks among the optimizers' scored candidates.
 """

@@ -66,12 +66,8 @@ MUTATIONS = [(name, path, value) for name, cfg in CONFIGS.items() for path in _p
 SAMPLE = random.Random(33).sample(MUTATIONS, 600)
 
 
-def test_the_mutations_cover_every_config():
-    assert len(CONFIGS) == 7 and len(MUTATIONS) > 2000
-    assert {name for name, _, _ in SAMPLE} == set(CONFIGS)
-
-
 def test_every_sampled_mutation_gives_a_table_or_a_typed_error():
+    assert len(CONFIGS) == 7 and {name for name, _, _ in SAMPLE} == set(CONFIGS)
     escapes = []
     for name, path, value in SAMPLE:
         try:
