@@ -1,7 +1,7 @@
-"""Core signal model of a two-branch transmitter with backward crosstalk.
+"""Core signal model of a multi-branch transmitter with backward crosstalk.
 
 Each antenna branch amplifies its input and leaks a scaled copy of its
-output back into the other branch's amplifier input.  The amplifier is
+output back into the other branches' amplifier inputs.  The amplifier is
 memoryless with a third-order compression term, so the amplifier input
 ``u`` solves an implicit feedback equation.  For weak crosstalk the loop
 linearizes to ``u = Q x`` with a constant coupling matrix ``Q``, and
@@ -10,10 +10,10 @@ Bussgang decomposition of the amplifier output exact up to the small
 linearization error: ``r = A u + v`` with diagonal ``A`` and distortion
 ``v`` uncorrelated with ``u``.
 
-This module carries the model containers plus the closed-form second,
-fourth and sixth order statistics that the NMSE and spectral efficiency
-layers build on.  All powers are in watt, compression coefficients in
-1/watt.
+This module carries the model containers, two-branch and (the ``M``
+twins) any-branch-count, plus the closed-form second, fourth and sixth
+order statistics that the NMSE and spectral efficiency layers build on.
+All powers are in watt, compression coefficients in 1/watt.
 """
 
 from math import inf
@@ -26,7 +26,9 @@ from .errors import SingularCouplingError
 
 __all__ = [
     "HardwareConfig",
+    "HardwareConfigM",
     "SignalSpec",
+    "SignalSpecM",
     "BussgangModel",
     "ModelValidityWarning",
     "BussgangGainWarning",
@@ -81,13 +83,7 @@ class HardwareConfig:
     def __post_init__(self):
         if len(self.gamma) != 2 or len(self.kappa) != 2 or len(self.rho) != 2:
             raise ValueError("gamma, kappa and rho must each have two entries")
-        # Chained comparisons written so that NaN fails them too.
-        if not all(0 < g < inf for g in self.gamma):
-            raise ValueError("branch gains must be positive and finite")
-        if not all(-inf < r <= 0 for r in self.rho):
-            raise ValueError("compression coefficients must be finite and <= 0")
-        if not 0 < self.sigma_w2 < inf:
-            raise ValueError("thermal noise variance must be positive and finite")
+        _check_branches(self.gamma, self.rho, self.sigma_w2)
         loop = self.crosstalk_product
         if not loop < inf:
             raise ValueError("crosstalk loop gain must be finite")
@@ -116,6 +112,55 @@ class HardwareConfig:
         g1, g2 = self.gamma
         k1, k2 = self.kappa
         return np.array([[0.0, g1 * k2], [g2 * k1, 0.0]], dtype=complex)
+
+
+def _check_branches(gamma, rho, sigma_w2):
+    # The per-branch rules of both hardware containers; NaN fails each comparison.
+    if not all(0 < g < inf for g in gamma):
+        raise ValueError("branch gains must be positive and finite")
+    if not all(-inf < r <= 0 for r in rho):
+        raise ValueError("compression coefficients must be finite and <= 0")
+    if not 0 < sigma_w2 < inf:
+        raise ValueError("thermal noise variance must be positive and finite")
+
+
+@dataclass(frozen=True)
+class HardwareConfigM:
+    """M-branch transmitter hardware.
+
+    ``kappa[l, m]`` is the backward coupling from branch ``l`` into
+    branch ``m``; the diagonal must be zero.
+    """
+
+    gamma: np.ndarray
+    kappa: np.ndarray
+    rho: np.ndarray
+    sigma_w2: float
+
+    def __post_init__(self):
+        # Copies, never views of the caller's arrays, frozen like the container.
+        gamma = np.atleast_1d(np.array(self.gamma, dtype=float))
+        kappa = np.array(self.kappa, dtype=complex)
+        rho = np.atleast_1d(np.array(self.rho, dtype=float))
+        m = gamma.size
+        if kappa.shape != (m, m):
+            raise ValueError("crosstalk matrix shape must match the gain count")
+        if rho.shape != (m,):
+            raise ValueError("need one compression coefficient per branch")
+        _check_branches(gamma, rho, self.sigma_w2)
+        if not (np.all(np.diag(kappa) == 0) and np.isfinite(kappa).all()):
+            raise ValueError("crosstalk matrix must be finite with a zero diagonal")
+        for name, value in (("gamma", gamma), ("kappa", kappa), ("rho", rho)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @property
+    def n_branches(self) -> int:
+        return self.gamma.size
+
+    @property
+    def feedback_matrix(self) -> np.ndarray:
+        return self.gamma[:, None] * self.kappa.T
 
 
 @dataclass(frozen=True)
@@ -150,13 +195,44 @@ class SignalSpec:
         return self.p_x * self.covariance_shape()
 
 
+@dataclass(frozen=True)
+class SignalSpecM:
+    """Input statistics: a unit-referenced covariance shape and a power.
+
+    The shape's (1,1) entry is pinned to one so the reference power is
+    literally the first branch's input power.
+    """
+
+    c_x_shape: np.ndarray
+    p_x: float
+
+    def __post_init__(self):
+        s = np.asarray(self.c_x_shape, dtype=complex)
+        if s.ndim != 2 or s.shape[0] != s.shape[1]:
+            raise ValueError("covariance shape must be square")
+        scale = max(np.linalg.norm(s), 1.0)
+        if not np.linalg.norm(s - s.conj().T) <= 1e-12 * scale:
+            raise ValueError("covariance shape must be finite and Hermitian")
+        evals = np.linalg.eigvalsh(s)
+        if evals.min() < -1e-12 * max(evals.max(), 1.0):
+            raise ValueError("covariance shape must be positive semidefinite")
+        if abs(s[0, 0] - 1.0) > 1e-12:
+            raise ValueError("covariance shape must have a unit (1,1) entry")
+        if not 0 <= self.p_x < inf:
+            raise ValueError("reference power must be finite and non-negative")
+        object.__setattr__(self, "c_x_shape", s)
+
+    def covariance(self) -> np.ndarray:
+        return self.p_x * self.c_x_shape
+
+
 def coupling_matrix(hw) -> np.ndarray:
     """First-order gain matrix from transmitter inputs to amplifier inputs.
 
     Closing the crosstalk loop to first order in the (small) crosstalk
     scalings gives a constant map whose off-diagonal entries carry the
     leakage of the other streams.  ``hw`` is a :class:`HardwareConfig`
-    or an ``mxm.HardwareConfigM`` of any branch count.  A numerically
+    or a :class:`HardwareConfigM` of any branch count.  A numerically
     singular matrix raises :class:`SingularCouplingError`.
     """
     gains = np.asarray(hw.gamma, dtype=float)
@@ -167,18 +243,6 @@ def coupling_matrix(hw) -> np.ndarray:
     if abs(np.linalg.det(q / np.linalg.norm(q, axis=0))) < 1e-12:
         raise SingularCouplingError("coupling matrix is numerically singular")
     return q
-
-
-def _internal_powers(g1, g2, k1, k2, b, xi) -> tuple[float, float]:
-    """Diagonal ``(t11, t22)`` of ``Q Cs Q^H`` per unit reference power.
-
-    Takes the unpacked gains, crosstalk scalings, amplitude ratio and
-    (complex) correlation.  The NMSE polynomials need only these two
-    entries, so they are evaluated without building the matrix.
-    """
-    t11 = g1 * g1 * (1.0 + 2.0 * g2 * b * (np.conj(k2) * xi).real + g2 * g2 * abs(k2) ** 2 * b * b)
-    t22 = g2 * g2 * (b * b + 2.0 * g1 * b * (k1 * xi).real + g1 * g1 * abs(k1) ** 2)
-    return t11, t22
 
 
 def internal_covariance(

@@ -5,7 +5,8 @@ compressed, crosstalk-coupled) branch output and the ideal linear output
 ``gamma_l x_l``.  Under the linearized Gaussian model its variance is a
 cubic polynomial in the reference power, so the normalized error (NMSE)
 is strictly convex in power.  One exact candidate solver, built from
-polynomial roots for any branch count, minimizes the worst branch NMSE.
+polynomial roots for any branch count, minimizes the worst branch NMSE;
+the ``_m`` entries take the any-branch-count containers of :mod:`model`.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFiniteOptimumError
-from .model import HardwareConfig, SignalSpec, _internal_powers
+from .model import HardwareConfig, HardwareConfigM, SignalSpec, SignalSpecM, coupling_matrix
 from .polyroots import best_candidate, real_roots, unique_positive_root
 from .units import linear_to_db
 
@@ -28,6 +29,9 @@ __all__ = [
     "approx_nmse1",
     "siso_optimal_power",
     "minmax_backoff",
+    "error_polynomials_m",
+    "nmse_branches_m",
+    "minmax_backoff_m",
 ]
 
 # Relative tolerance for accepting a balanced candidate: both branch
@@ -82,12 +86,25 @@ class NmseReport:
         return max(self.nmse1, self.nmse2)
 
 
+def _internal_powers(g1, g2, k1, k2, b, xi) -> tuple[float, float]:
+    """Diagonal ``(t11, t22)`` of ``Q Cs Q^H`` per unit reference power.
+
+    Takes the unpacked gains, crosstalk scalings, amplitude ratio and
+    (complex) correlation.  The NMSE polynomials need only these two
+    entries, so they are evaluated without building the matrix.
+    """
+    t11 = g1 * g1 * (1.0 + 2.0 * g2 * b * (np.conj(k2) * xi).real + g2 * g2 * abs(k2) ** 2 * b * b)
+    t22 = g2 * g2 * (b * b + 2.0 * g1 * b * (k1 * xi).real + g1 * g1 * abs(k1) ** 2)
+    return t11, t22
+
+
 def _branch_polynomials(hw: HardwareConfig, sig: SignalSpec):
     """Cubic error-variance coefficients and NMSE denominators per branch.
 
-    Returns ``(coeffs, denom)`` where ``coeffs[l] = (c3, c2, c1)`` so
-    that ``e_l = c3 p^3 + c2 p^2 + c1 p + sigma_w2`` and the branch NMSE
-    is ``e_l / (denom[l] * p)``.
+    Returns pairs ``(cubic, quadratic, linear, denom)``, the layout of
+    :func:`error_polynomials_m`, so that ``e_l = cubic[l] p^3 +
+    quadratic[l] p^2 + linear[l] p + sigma_w2`` and the branch NMSE is
+    ``e_l / (denom[l] * p)``.
     """
     g1, g2 = hw.gamma
     k1, k2 = hw.kappa
@@ -97,21 +114,16 @@ def _branch_polynomials(hw: HardwareConfig, sig: SignalSpec):
 
     t11, t22 = _internal_powers(g1, g2, k1, k2, b, xi)
 
-    c3_1 = 6.0 * r1 * r1 * t11 ** 3
-    c2_1 = 4.0 * g1 * g1 * g2 * t11 * r1 * (g2 * b * b * abs(k2) ** 2 + b * (k2 * np.conj(xi)).real)
-    c1_1 = b * b * g1 * g1 * g2 * g2 * abs(k2) ** 2
-
-    c3_2 = 6.0 * r2 * r2 * t22 ** 3
-    c2_2 = 4.0 * g1 * g2 * g2 * t22 * r2 * (g1 * abs(k1) ** 2 + b * (k1 * xi).real)
-    c1_2 = g1 * g1 * g2 * g2 * abs(k1) ** 2
-
-    coeffs = ((c3_1, c2_1, c1_1), (c3_2, c2_2, c1_2))
+    beat1 = g2 * b * b * abs(k2) ** 2 + b * (k2 * np.conj(xi)).real
+    beat2 = g1 * abs(k1) ** 2 + b * (k1 * xi).real
+    cubic = (6.0 * r1 * r1 * t11 ** 3, 6.0 * r2 * r2 * t22 ** 3)
+    quadratic = (4.0 * g1 * g1 * g2 * t11 * r1 * beat1, 4.0 * g1 * g2 * g2 * t22 * r2 * beat2)
+    linear = (b * b * g1 * g1 * g2 * g2 * abs(k2) ** 2, g1 * g1 * g2 * g2 * abs(k1) ** 2)
     denom = (g1 * g1, g2 * g2 * b * b)
-    return coeffs, denom
+    return cubic, quadratic, linear, denom
 
 
-def _terms(coeffs, sigma_w2: float, p: float) -> ErrorTerms:
-    c3, c2, c1 = coeffs
+def _terms(c3, c2, c1, sigma_w2: float, p: float) -> ErrorTerms:
     return ErrorTerms(cubic=c3 * p ** 3, quadratic=c2 * p * p, linear=c1 * p, noise=sigma_w2)
 
 
@@ -123,9 +135,9 @@ def nmse_branches(hw: HardwareConfig, sig: SignalSpec, p_x: float | None = None)
     vanishes while thermal noise does not.
     """
     p = sig.p_x if p_x is None else p_x
-    coeffs, denom = _branch_polynomials(hw, sig)
-    t1 = _terms(coeffs[0], hw.sigma_w2, p)
-    t2 = _terms(coeffs[1], hw.sigma_w2, p)
+    cubic, quadratic, linear, denom = _branch_polynomials(hw, sig)
+    t1 = _terms(cubic[0], quadratic[0], linear[0], hw.sigma_w2, p)
+    t2 = _terms(cubic[1], quadratic[1], linear[1], hw.sigma_w2, p)
     n1 = t1.total / (denom[0] * p) if denom[0] * p > 0 else np.inf
     n2 = t2.total / (denom[1] * p) if denom[1] * p > 0 else np.inf
     return NmseReport(p_x=p, nmse1=n1, nmse2=n2, e11=t1.total, e22=t2.total, terms1=t1, terms2=t2)
@@ -142,9 +154,9 @@ def nmse_second_derivative(
     p = sig.p_x if p_x is None else p_x
     if p <= 0:
         raise ValueError("second derivative needs a positive reference power")
-    coeffs, denom = _branch_polynomials(hw, sig)
+    cubic, _, _, denom = _branch_polynomials(hw, sig)
     out = []
-    for (c3, _, _), g in zip(coeffs, denom):
+    for c3, g in zip(cubic, denom):
         if g == 0:
             out.append(np.inf)
         else:
@@ -200,10 +212,6 @@ class BackoffSolution:
     tied: bool = False
 
 
-def _stationarity_cubic(c3, c2, sigma_w2):
-    return np.array([2.0 * c3, c2, 0.0, -sigma_w2])
-
-
 def _minmax(cubic, quadratic, linear, denom, sw2):
     """Exact minimizer of the worst NMSE over any number of branches.
 
@@ -227,7 +235,8 @@ def _minmax(cubic, quadratic, linear, denom, sw2):
     def branches(p):
         return (cubic * p ** 3 + quadratic * p * p + linear * p + sw2) / (denom * p)
 
-    powers = [unique_positive_root(_stationarity_cubic(a, b, sw2))
+    # A branch minimizer solves 2 cubic p^3 + quadratic p^2 = sw2.
+    powers = [unique_positive_root(np.array([2.0 * a, b, 0.0, -sw2]))
               for a, b in zip(cubic, quadratic)]
     values = [branches(p) for p in powers]
     if not any(v[k] >= v.max() for k, v in enumerate(values)):
@@ -277,8 +286,8 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
     if hw.rho[0] == 0 or hw.rho[1] == 0:
         raise NoFiniteOptimumError("both branches must be compressive for a finite optimum")
 
-    coeffs, denom = _branch_polynomials(hw, sig)
-    powers, worst, pick, tied = _minmax(*np.array(coeffs).T, np.array(denom), hw.sigma_w2)
+    polys = _branch_polynomials(hw, sig)
+    powers, worst, pick, tied = _minmax(*np.array(polys), hw.sigma_w2)
     names = ("branch1_min", "branch2_min", "balanced")
     return BackoffSolution(
         p_x_opt=powers[pick],
@@ -287,3 +296,56 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
         candidates=dict(zip(names, powers)),
         tied=tied,
     )
+
+
+def error_polynomials_m(hw: HardwareConfigM, spec: SignalSpecM):
+    """Per-branch error-variance polynomial coefficients.
+
+    Returns ``(cubic, quadratic, linear, denom)`` arrays so that branch
+    ``l`` has error variance ``cubic[l] p^3 + quadratic[l] p^2 +
+    linear[l] p + sigma_w2`` and NMSE ``error / (denom[l] p)``.
+    """
+    q = coupling_matrix(hw)
+    l_mat = np.diag(hw.gamma)
+    s = spec.c_x_shape
+    rho = hw.rho
+
+    t = q @ s @ q.conj().T
+    t_diag = np.real(np.diag(t))
+    resid = q - l_mat
+    cross = np.diag(q @ s @ resid.conj().T)
+    cubic = 6.0 * rho ** 2 * t_diag ** 3
+    quadratic = 4.0 * np.real(rho * t_diag * cross)
+    linear = np.real(np.diag(resid @ s @ resid.conj().T))
+    denom = hw.gamma ** 2 * np.real(np.diag(s))
+    return cubic, quadratic, linear, denom
+
+
+def nmse_branches_m(hw: HardwareConfigM, spec: SignalSpecM, p_x: float | None = None) -> np.ndarray:
+    """Per-branch NMSE values at reference power ``p_x``.
+
+    Branches with zero configured input power get an infinite NMSE.
+    """
+    p = spec.p_x if p_x is None else p_x
+    cubic, quadratic, linear, denom = error_polynomials_m(hw, spec)
+    err = cubic * p ** 3 + quadratic * p * p + linear * p + hw.sigma_w2
+    out = np.full(hw.n_branches, np.inf)
+    ok = denom * p > 0
+    out[ok] = err[ok] / (denom[ok] * p)
+    return out
+
+
+def minmax_backoff_m(hw: HardwareConfigM, spec: SignalSpecM) -> float:
+    """Reference power minimizing the worst branch NMSE, any branch count.
+
+    Branches that carry no power are left out; the rest go to the exact
+    candidate solver shared with :func:`minmax_backoff`.
+    """
+    if np.any(hw.rho == 0):
+        raise NoFiniteOptimumError("all branches must be compressive for a finite optimum")
+    polys = error_polynomials_m(hw, spec)
+    active = polys[3] > 0
+    if not np.any(active):
+        raise ValueError("no branch carries power")
+    powers, _, pick, _ = _minmax(*(c[active] for c in polys), hw.sigma_w2)
+    return float(powers[pick])

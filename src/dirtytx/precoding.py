@@ -11,7 +11,7 @@ the single-channel designs run it on a one-row stack, and
 :func:`design_se` runs all three designs on many channels at once.
 
 Every design takes either hardware container, :class:`HardwareConfig`
-or ``mxm.HardwareConfigM``, and shares one input check.  The
+or :class:`model.HardwareConfigM`, and shares one input check.  The
 matched-filter designs and their curves run for any branch count; the
 exact candidate-set optimizer is specific to two branches.
 

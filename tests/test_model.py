@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from dirtytx import (
     BussgangGainWarning,
     HardwareConfig,
+    HardwareConfigM,
     ModelValidityWarning,
     SignalSpec,
     SingularCouplingError,
@@ -22,7 +24,7 @@ from dirtytx import (
     sixth_moment_matrix,
     watt_to_dbm,
 )
-from dirtytx.model import _internal_powers
+from dirtytx.nmse import _internal_powers
 from oracles import FeedbackDivergenceError, effective_linear_gain, linear_output_covariance
 
 
@@ -288,6 +290,18 @@ class TestConfigValidation:
         for fields in [dict(p_x=bad), dict(beta=bad), dict(xi=bad), dict(xi=complex(0.0, bad))]:
             with pytest.raises(ValueError):
                 SignalSpec(**{"p_x": 1e-3, **fields})
+
+    @pytest.mark.parametrize("container", [HardwareConfig, HardwareConfigM])
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma", (1.0, 0.0), "branch gains must be positive and finite"),
+        ("rho", (0.01, -0.01), "compression coefficients must be finite and <= 0"),
+        ("sigma_w2", 0.0, "thermal noise variance must be positive and finite"),
+    ], ids=["gain", "compression", "noise"])
+    def test_branch_rules_give_one_message_per_container(self, container, field, value, message):
+        kappa = (0.0, 0.0) if container is HardwareConfig else np.zeros((2, 2))
+        good = dict(gamma=(1.0, 1.0), kappa=kappa, rho=(-0.01, -0.01), sigma_w2=1e-4)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            container(**{**good, field: value})
 
     def test_loop_gain_warning(self):
         with pytest.warns(ModelValidityWarning):
