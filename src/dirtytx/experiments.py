@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 _CASE_IDS = {"branch1_min": 1.0, "branch2_min": 2.0, "balanced": 3.0}
-# Most points a range axis or phase_count may ask for, checked before allocating.
+# Most points any count (range, phase, sample, channel) may ask for, checked before allocating.
 _MAX_GRID = 10 ** 6
 
 
@@ -302,7 +302,7 @@ def _parse_active_signal(cfg, user):
 
 def _parse_channel_distribution(cfg, units):
     dist = _section(cfg, "channel_distribution", ("count", "sigma_n2"))
-    count = _get(dist, "channel_distribution.count", read=_count)
+    count = _get(dist, "channel_distribution.count", read=_grid_count)
     return count, _get(dist, "channel_distribution.sigma_n2", read=units.power)
 
 
@@ -327,7 +327,7 @@ def _run_gaussian_validation(cfg, units, seed):
     points = _grid(cfg, "p_x_points", units.power)
     if points.size == 0:
         raise ConfigError("p_x_points must not be empty")
-    n = _get(cfg, "n_samples", read=_count)
+    n = _get(cfg, "n_samples", read=_grid_count)
     rows = []
     for k, p in enumerate(points):
         sig = SignalSpec(p_x=float(p), beta=sig0.beta, xi=sig0.xi)
@@ -353,7 +353,7 @@ def _run_nmse_sweep(cfg, units, seed):
     sweep = _section(cfg, "sweep", ("p_x", "crosstalk2"))
     p_grid = _grid(sweep, "sweep.p_x", units.power)
     k_grid = _grid(sweep, "sweep.crosstalk2", units.ratio)
-    n = _get(cfg, "n_samples", read=_count)
+    n = _get(cfg, "n_samples", read=_grid_count)
     rows = []
     for i, k2 in enumerate(k_grid):
         hw = _build_hw(parts, kappa2=float(k2))

@@ -180,8 +180,8 @@ class SignalSpec:
     def __post_init__(self):
         if not 0 <= self.p_x < inf:
             raise ValueError("reference power must be finite and >= 0")
-        if not 0 <= self.beta < inf:
-            raise ValueError("amplitude ratio must be finite and >= 0")
+        if not (0 <= self.beta and self.beta * self.beta < inf):
+            raise ValueError("amplitude ratio must be >= 0 with a finite square")
         if not abs(self.xi) <= 1 + 1e-12:
             raise ValueError("cross-correlation magnitude must be <= 1")
 

@@ -287,6 +287,9 @@ def minmax_backoff(hw: HardwareConfig, sig: SignalSpec) -> BackoffSolution:
         raise NoFiniteOptimumError("both branches must be compressive for a finite optimum")
 
     polys = _branch_polynomials(hw, sig)
+    # beta**2 underflowed: branch 2's NMSE is infinite at every power.
+    if not polys[3][1] > 0:
+        raise NoFiniteOptimumError("no back-off candidate has a finite worst NMSE")
     powers, worst, pick, tied = _minmax(*np.array(polys), hw.sigma_w2)
     names = ("branch1_min", "branch2_min", "balanced")
     return BackoffSolution(

@@ -3,8 +3,9 @@
 Each mutation deletes one key or sets one value at any depth, list
 entries included, to a hostile value.  Every run must give a table, a
 ``ConfigError`` or a ``NumericalError``, and the command line must exit
-0, 2 or 3 without a traceback.  Sample and channel counts are clamped
-after mutating, so that no run allocates a large array.
+0, 2 or 3 without a traceback.  The shipped sample and channel counts
+are clamped before mutating, so that no run allocates a large array; no
+mutated value is a count the parser accepts.
 """
 
 import copy
@@ -43,8 +44,12 @@ def _paths(obj, prefix=()):
 
 
 def mutate(name, path, value):
-    """Config ``name`` with ``path`` set to ``value`` (or deleted), counts clamped."""
+    """Config ``name``, counts clamped, with ``path`` set to ``value`` (or deleted)."""
     cfg = copy.deepcopy(CONFIGS[name])
+    if "n_samples" in cfg:
+        cfg["n_samples"] = min(cfg["n_samples"], 200)
+    if "channel_distribution" in cfg:
+        cfg["channel_distribution"]["count"] = min(cfg["channel_distribution"]["count"], 5)
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -52,11 +57,6 @@ def mutate(name, path, value):
         del parent[path[-1]]
     else:
         parent[path[-1]] = copy.deepcopy(value)
-    if type(cfg.get("n_samples")) is int:
-        cfg["n_samples"] = min(cfg["n_samples"], 200)
-    dist = cfg.get("channel_distribution")
-    if isinstance(dist, dict) and type(dist.get("count")) is int:
-        dist["count"] = min(dist["count"], 5)
     return cfg
 
 
@@ -95,11 +95,14 @@ def test_cli_sample_exits_0_2_or_3(tmp_path, capsys):
 @pytest.mark.parametrize("name, path, value, code", [
     # Branch 2's NMSE denominator underflows: no candidate is finite.
     ("backoff_vs_gain", ("signal", "beta"), 1e-320, 3),
-    # The input covariance overflows to inf + nan j.
-    ("gaussian_validation", ("signal", "beta"), 1e308, 3),
-    # A range count too large to allocate.
+    # beta**2 overflows, so the signal is invalid.
+    ("gaussian_validation", ("signal", "beta"), 1e308, 2),
+    # Counts too large to allocate.
     ("nmse_sweep", ("sweep", "p_x", "count"), 2 ** 70, 2),
-], ids=["subnormal-beta-backoff", "huge-beta-gaussian", "huge-range-count"])
+    ("gaussian_validation", ("n_samples",), 2 ** 70, 2),
+    ("se_average", ("channel_distribution", "count"), 2 ** 70, 2),
+], ids=["subnormal-beta-backoff", "huge-beta-gaussian", "huge-range-count",
+        "huge-sample-count", "huge-channel-count"])
 def test_found_escapes_exit_typed_from_the_command_line(tmp_path, name, path, value, code):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(mutate(name, path, value)), encoding="utf-8")

@@ -303,6 +303,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             container(**{**good, field: value})
 
+    def test_beta_with_overflowing_square_rejected(self):
+        # beta**2 is the second stream's power ratio; it overflows above about 1.3e154.
+        assert np.isfinite(SignalSpec(p_x=1e-3, beta=1e154).covariance_shape()).all()
+        for beta in (1e155, 1e200, 1e308):
+            with pytest.raises(ValueError, match="finite square"):
+                SignalSpec(p_x=1e-3, beta=beta)
+
     def test_loop_gain_warning(self):
         with pytest.warns(ModelValidityWarning):
             HardwareConfig(gamma=(10.0, 10.0), kappa=(0.05, 0.05), rho=(0.0, 0.0), sigma_w2=1e-4)

@@ -283,10 +283,10 @@ class TestSimulateBatch:
                 simulate_batch(hw, sig, 64, 559)
 
     def test_non_finite_covariance_raises(self):
-        # beta = 1e308 overflows the covariance's (2, 2) entry to inf+nanj.
+        # p_x * beta**2 overflows the covariance's (2, 2) entry to inf.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            sig = SignalSpec(p_x=1e-3, beta=1e308)
+            sig = SignalSpec(p_x=1e300, beta=1e10)
             with pytest.raises(NumericalError, match="covariance is not finite"):
                 simulate_batch(make_symmetric_hw(), sig, 64, 5)
 

@@ -356,9 +356,10 @@ class TestMinmaxBackoff:
 
     def test_no_finite_candidate_raises_typed(self, symmetric_hw):
         # A subnormal amplitude ratio makes branch 2's NMSE denominator
-        # underflow to 0, so every candidate's worst NMSE is infinite.
+        # underflow to 0, so every candidate's worst NMSE is infinite.  That
+        # is known before any branch is evaluated, so nothing divides by 0.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(NoFiniteOptimumError, match="finite worst NMSE"):
                 minmax_backoff(symmetric_hw, SignalSpec(p_x=1e-3, beta=1e-320))
 
