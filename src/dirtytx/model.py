@@ -10,9 +10,9 @@ Bussgang decomposition of the amplifier output exact up to the small
 linearization error: ``r = A u + v`` with diagonal ``A`` and distortion
 ``v`` uncorrelated with ``u``.
 
-This module carries the model containers, two-branch and (the ``M``
-twins) any-branch-count, plus the closed-form second, fourth and sixth
-order statistics that the NMSE and spectral efficiency layers build on.
+This module carries the model containers, for two branches and (the
+``M`` classes) for any branch count, plus the closed-form second, fourth
+and sixth order statistics that the NMSE and spectral efficiency layers build on.
 All powers are in watt, compression coefficients in 1/watt.
 """
 
