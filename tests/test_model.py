@@ -297,7 +297,7 @@ class TestConfigValidation:
         ("rho", (0.01, -0.01), "compression coefficients must be finite and <= 0"),
         ("sigma_w2", 0.0, "thermal noise variance must be positive and finite"),
     ], ids=["gain", "compression", "noise"])
-    def test_branch_rules_give_one_message_per_container(self, container, field, value, message):
+    def test_both_containers_share_branch_messages(self, container, field, value, message):
         kappa = (0.0, 0.0) if container is HardwareConfig else np.zeros((2, 2))
         good = dict(gamma=(1.0, 1.0), kappa=kappa, rho=(-0.01, -0.01), sigma_w2=1e-4)
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
